@@ -260,12 +260,3 @@ class DmimoMiddlebox(Middlebox):
         packet.message.sections[0] = updated
         self.ssb_copies += 1
         self._downlink_remap(ctx, packet)
-
-    def flush_ssb_state_before(self, keep_from: SymbolTime) -> None:
-        """Bound SSB cache memory in long runs."""
-        self._ssb_payload = {
-            t: v for t, v in self._ssb_payload.items() if not t < keep_from
-        }
-        self._pending_ssb = {
-            t: v for t, v in self._pending_ssb.items() if not t < keep_from
-        }

@@ -8,22 +8,31 @@ of a PRB share one exponent byte, and each I/Q component is stored as an
 middleboxes must decompress, combine, and recompress them, so this module
 implements real bit-accurate BFP with arbitrary mantissa widths.
 
-The wire codec is fully vectorized: all PRBs of a payload are packed and
-unpacked through a single ``np.packbits``/``np.unpackbits`` call over a
-``(n_prbs, 24, width)`` bit tensor, which is what lets the Python
-middleboxes approach the per-packet constant cost of the paper's C
-implementation (Figure 15b).  Because a PRB holds 24 mantissas and
-``24 * width`` is always a multiple of 8, every PRB's mantissa block is
-exactly ``3 * width`` bytes and the whole payload is one strided
-``(n_prbs, 1 + 3 * width)`` byte grid — no per-PRB Python loop anywhere.
+The wire codec is fully vectorized and works in the samples' own narrow
+integer dtype, which is what lets the Python middleboxes approach the
+per-packet constant cost of the paper's C implementation (Figure 15b).
+Because a PRB holds 24 mantissas and ``24 * width`` is always a multiple
+of 8, every PRB's mantissa block is exactly ``3 * width`` bytes and the
+whole payload is one strided ``(n_prbs, 1 + 3 * width)`` byte grid — no
+per-PRB Python loop anywhere:
 
-Repeated identical payloads (the DAS downlink replicates the same symbol
-to N RUs; RU sharing re-parses the same full-band uplink packet once per
-DU) hit a small LRU memo instead of re-running the codec.
+- packing left-aligns each mantissa in a big-endian 16-bit word, unpacks
+  those words to bits once, keeps the top ``width`` bits of each, and
+  packs the result once (:func:`_pack_mantissas`);
+- unpacking gathers the (at most) 3 bytes covering each mantissa into a
+  32-bit word and extracts it with one shift pair that also
+  sign-extends (:func:`_unpack_mantissas`);
+- the exponent search is an exact integer OR-reduction per PRB
+  (:func:`_exact_bits_needed`).
+
+Repeated identical payloads (RU sharing re-parses the same full-band
+uplink packet once per DU) hit a small LRU parse memo instead of
+re-running the unpack.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Tuple
@@ -46,9 +55,9 @@ MAX_WIRE_EXPONENT = 15
 class _LruMemo:
     """Tiny bounded LRU cache for codec results.
 
-    Values must be immutable (bytes, or ndarrays with ``writeable=False``)
-    because they are shared between all callers that present the same
-    payload — exactly the DAS replicate / RU-sharing demux pattern.
+    Values must be immutable (ndarrays with ``writeable=False``) because
+    they are shared between all callers that present the same payload —
+    exactly the RU-sharing demux pattern.
     """
 
     def __init__(self, capacity: int):
@@ -82,27 +91,21 @@ class _LruMemo:
         return len(self._store)
 
 
-#: Compress memo: (config byte, samples bytes) -> wire bytes.
-_COMPRESS_MEMO = _LruMemo(capacity=128)
 #: Parse memo: (config byte, payload bytes) -> (exponents, mantissas).
 _PARSE_MEMO = _LruMemo(capacity=128)
 
 
 def codec_memo_stats() -> Dict[str, int]:
-    """Hit/miss counters of the codec memos (observability + tests)."""
+    """Hit/miss counters of the parse memo (observability + tests)."""
     return {
-        "compress_hits": _COMPRESS_MEMO.hits,
-        "compress_misses": _COMPRESS_MEMO.misses,
         "parse_hits": _PARSE_MEMO.hits,
         "parse_misses": _PARSE_MEMO.misses,
-        "compress_entries": len(_COMPRESS_MEMO),
         "parse_entries": len(_PARSE_MEMO),
     }
 
 
 def clear_codec_memo() -> None:
-    """Reset both memos (used by benchmarks to measure cold paths)."""
-    _COMPRESS_MEMO.clear()
+    """Reset the parse memo (used by benchmarks to measure cold paths)."""
     _PARSE_MEMO.clear()
 
 
@@ -179,6 +182,11 @@ class CompressionConfig:
         return 1 + packed
 
 
+# -- seed per-value bit packers ------------------------------------------------
+# The scalar reference that benchmarks/test_micro_ops.py measures the
+# codec's speedup floors against; the codec itself uses the helpers below.
+
+
 def _bit_shifts(width: int) -> np.ndarray:
     """MSB-first bit positions of an ``width``-bit mantissa."""
     return np.arange(width - 1, -1, -1, dtype=np.uint32)
@@ -209,6 +217,61 @@ def _sign_extend(values: np.ndarray, width: int) -> np.ndarray:
     return signed
 
 
+def _pack_mantissas(mantissas: np.ndarray, width: int) -> np.ndarray:
+    """Pack signed ``width``-bit mantissas of shape (n, 24), MSB first.
+
+    Each mantissa is left-aligned in a big-endian 16-bit word, so its
+    two's-complement bits are the word's top ``width`` bits; one
+    ``np.unpackbits`` over the words, a slice, and one ``np.packbits``
+    give the ``(n, 3 * width)`` wire blocks.  Accepts any integer dtype
+    and memory layout (the merge path passes strided views).
+    """
+    n_prbs, n_mantissas = mantissas.shape
+    aligned = mantissas.astype(np.int16, copy=False) << (16 - width)
+    words = aligned.astype(">i2", order="C")
+    bits = np.unpackbits(words.view(np.uint8), axis=1)
+    bits = bits.reshape(n_prbs, n_mantissas, 16)[:, :, :width]
+    return np.packbits(bits.reshape(n_prbs, n_mantissas * width), axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _gather_plan(width: int) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """Per-mantissa byte indices and left shifts for one width.
+
+    Mantissa ``i`` starts at bit ``i * width`` of its PRB block and, as
+    ``width <= 16``, lies within the 3 bytes from there.  Indices past
+    the block are clamped: such a byte holds only bits below the
+    mantissa, which the final right shift discards.
+    """
+    starts = np.arange(2 * SAMPLES_PER_PRB) * width
+    first = starts // 8
+    last = 3 * width - 1
+    cover = tuple(_freeze(np.minimum(first + k, last)) for k in range(3))
+    return cover, _freeze((8 + starts % 8).astype(np.uint32))
+
+
+def _unpack_mantissas(blocks: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_mantissas`: int32 mantissas of shape (n, 24).
+
+    The 3 bytes covering each mantissa form a 24-bit word; shifting it
+    left puts the mantissa's MSB at bit 31 of an int32, and an
+    arithmetic right shift by ``32 - width`` extracts and sign-extends
+    it in one step.
+    """
+    (b0, b1, b2), lshift = _gather_plan(width)
+    wide = blocks.astype(np.uint32)
+    words = (wide[:, b0] << 16) | (wide[:, b1] << 8) | wide[:, b2]
+    return (words << lshift).view(np.int32) >> np.int32(32 - width)
+
+
+def _int_samples(samples) -> np.ndarray:
+    """``samples`` as a signed-integer array, keeping a narrow dtype."""
+    samples = np.asarray(samples)
+    if samples.dtype.kind != "i":
+        samples = samples.astype(np.int64)
+    return samples
+
+
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -236,7 +299,7 @@ class BfpCompressor:
         near-zero samples) get exponent 0 — the property Algorithm 1's
         utilization estimator relies on.
         """
-        samples = np.asarray(samples, dtype=np.int64)
+        samples = _int_samples(samples)
         if samples.ndim != 2 or samples.shape[1] != 2 * SAMPLES_PER_PRB:
             raise ValueError(f"expected shape (n, 24), got {samples.shape}")
         width = self.config.iq_width
@@ -253,10 +316,11 @@ class BfpCompressor:
         the wire nibble cannot represent it, and silently masking it (as a
         naive implementation might) corrupts every sample in the PRB.
         int16 input can never trigger this (worst case 16 - 2 = 14), but
-        callers feeding wider accumulators must saturate first.
+        callers feeding wider accumulators must saturate first.  The
+        shift runs in the samples' own integer dtype.
         """
-        samples = np.asarray(samples, dtype=np.int64)
-        exponents = self.exponents_for(samples).astype(np.int64)
+        samples = _int_samples(samples)
+        exponents = self.exponents_for(samples)
         overflow = int(exponents.max(initial=0))
         if overflow > MAX_WIRE_EXPONENT:
             raise ValueError(
@@ -264,8 +328,8 @@ class BfpCompressor:
                 f"(max {MAX_WIRE_EXPONENT}); saturate samples to int16 "
                 "before compressing"
             )
-        mantissas = samples >> exponents[:, None]
-        return exponents.astype(np.uint8), mantissas
+        mantissas = samples >> exponents.astype(samples.dtype)[:, None]
+        return exponents, mantissas
 
     def decompress_array(
         self, exponents: np.ndarray, mantissas: np.ndarray
@@ -282,36 +346,19 @@ class BfpCompressor:
         """Serialize samples of shape (n_prbs, 24) to the wire format.
 
         Each PRB is emitted as ``exponent byte || packed mantissas``
-        exactly as in Figure 2 of the paper.  All PRBs are packed in one
-        ``np.packbits`` call over the ``(n_prbs, 24, width)`` bit tensor
-        and written with a single strided store of exponent bytes +
-        mantissa blocks.
+        exactly as in Figure 2 of the paper.  All PRBs are packed by one
+        :func:`_pack_mantissas` pass and written with a single strided
+        store of exponent bytes + mantissa blocks.
         """
-        samples = np.ascontiguousarray(samples, dtype=np.int64)
+        samples = _int_samples(samples)
         if self.config.comp_meth == NO_COMP_METH:
             return samples.astype(">i2").tobytes()
-        memo_key = (self.config.to_byte(), samples.tobytes())
-        cached = _COMPRESS_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
         exponents, mantissas = self.compress_array(samples)
         width = self.config.iq_width
-        n_prbs = len(exponents)
-        mask = np.int64((1 << width) - 1)
-        unsigned = (mantissas & mask).astype(np.uint32)
-        shifts = _bit_shifts(width)
-        # (n_prbs, 24, width) bit tensor, MSB first; 24 * width is always a
-        # multiple of 8, so each PRB packs to exactly 3 * width bytes.
-        bits = ((unsigned[:, :, None] >> shifts[None, None, :]) & 1).astype(
-            np.uint8
-        )
-        blocks = np.packbits(bits.reshape(n_prbs, 24 * width), axis=1)
-        out = np.empty((n_prbs, 1 + 3 * width), dtype=np.uint8)
+        out = np.empty((len(exponents), 1 + 3 * width), dtype=np.uint8)
         out[:, 0] = exponents
-        out[:, 1:] = blocks
-        wire = out.tobytes()
-        _COMPRESS_MEMO.put(memo_key, wire)
-        return wire
+        out[:, 1:] = _pack_mantissas(mantissas, width)
+        return out.tobytes()
 
     def decompress(self, payload: bytes, n_prbs: int) -> np.ndarray:
         """Parse a wire payload back to int16 samples of shape (n_prbs, 24)."""
@@ -366,15 +413,7 @@ class BfpCompressor:
             n_prbs, prb_bytes
         )
         exponents = grid[:, 0] & 0x0F
-        # One unpackbits over every mantissa block, then a weighted sum
-        # across the (n_prbs, 24, width) bit tensor.
-        bits = np.unpackbits(
-            np.ascontiguousarray(grid[:, 1:]), axis=1
-        ).reshape(n_prbs, 2 * SAMPLES_PER_PRB, width)
-        weights = (np.int64(1) << _bit_shifts(width).astype(np.int64))
-        unsigned = bits.astype(np.int64) @ weights
-        sign_bit = np.int64(1) << np.int64(width - 1)
-        mantissas = unsigned - ((unsigned & sign_bit) << 1)
+        mantissas = _unpack_mantissas(grid[:, 1:], width)
         result = (_freeze(exponents), _freeze(mantissas))
         _PARSE_MEMO.put(memo_key, result)
         return result
@@ -429,16 +468,16 @@ def merge_payloads(
 
 
 def _exact_bits_needed(samples: np.ndarray) -> np.ndarray:
-    """Exact two's-complement bit count per PRB row."""
-    pos = np.maximum(samples.max(axis=1), 0)
-    neg = np.minimum(samples.min(axis=1), 0)
-    # A positive v needs bit_length(v)+1 bits; a negative v needs
-    # bit_length(-v-1)+1 bits (e.g. -256 fits in 9 bits).
-    pos_bits = np.zeros(len(samples), dtype=np.int64)
-    nz = pos > 0
-    pos_bits[nz] = np.floor(np.log2(pos[nz])).astype(np.int64) + 2
-    neg_bits = np.ones(len(samples), dtype=np.int64)
-    nn = neg < -1
-    neg_bits[nn] = np.floor(np.log2(-neg[nn] - 1)).astype(np.int64) + 2
-    neg_bits[neg == -1] = 1
-    return np.maximum(np.maximum(pos_bits, neg_bits), 1)
+    """Exact two's-complement bit count per PRB row.
+
+    A non-negative v needs ``bit_length(v) + 1`` bits and a negative v
+    ``bit_length(-v - 1) + 1`` (e.g. -256 fits in 9 bits).  ``v ^ (v >>
+    msb)`` is v or ``-v - 1`` respectively, computed in the samples' own
+    signed dtype; the bit length of a row's OR is the row's largest bit
+    length; and frexp's exponent of a positive integer is its bit length
+    (exact below 2**53 — any larger value needs an exponent far above
+    the wire's 15 anyway).
+    """
+    msb = samples.dtype.itemsize * 8 - 1
+    magnitude = np.bitwise_or.reduce(samples ^ (samples >> msb), axis=1)
+    return np.frexp(magnitude)[1] + 1

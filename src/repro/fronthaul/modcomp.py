@@ -26,10 +26,11 @@ step ``2**s``, and re-compressing a decompressed payload reproduces the
 wire bytes exactly — the "lossy once, stable forever" property the DAS
 merge and the differential harness rely on.
 
-The codec is vectorized with the same bit-tensor technique as the BFP
-fast path: one ``np.packbits``/``np.unpackbits`` pass over a
-``(n_prbs, 24, width)`` tensor, one strided store per payload, and the
-shared LRU memos for the DAS-replicate / RU-sharing-demux patterns.
+The codec shares the BFP fast path's narrow-dtype helpers: one
+:func:`~repro.fronthaul.compression._pack_mantissas` pass and one
+strided store per payload on compress, one gather-and-shift
+:func:`~repro.fronthaul.compression._unpack_mantissas` pass on parse,
+and the shared LRU parse memo for the RU-sharing demux pattern.
 """
 
 from __future__ import annotations
@@ -42,12 +43,14 @@ from repro.fronthaul.compression import (
     MOD_COMP_METH,
     SAMPLES_PER_PRB,
     CompressionConfig,
-    _bit_shifts,
-    _COMPRESS_MEMO,
     _exact_bits_needed,
     _freeze,
+    _int_samples,
+    _pack_mantissas,
     _PARSE_MEMO,
+    _unpack_mantissas,
 )
+
 
 def max_scaler(iq_width: int) -> int:
     """Largest legal scaler for a mantissa width.
@@ -87,7 +90,7 @@ class ModCompressor:
         the PRB fits a signed ``iq_width``-bit mantissa.  Idle PRBs get
         scaler 0.
         """
-        samples = np.asarray(samples, dtype=np.int64)
+        samples = _int_samples(samples)
         if samples.ndim != 2 or samples.shape[1] != 2 * SAMPLES_PER_PRB:
             raise ValueError(f"expected shape (n, 24), got {samples.shape}")
         width = self.config.iq_width
@@ -101,10 +104,11 @@ class ModCompressor:
         (n_prbs, 24) as signed integers already shifted.  Raises
         :class:`ValueError` when a PRB would need a scaler above the
         legal ``16 - width`` bound — int16 input can never trigger this,
-        but callers feeding wider accumulators must saturate first.
+        but callers feeding wider accumulators must saturate first.  The
+        shift runs in the samples' own integer dtype.
         """
-        samples = np.asarray(samples, dtype=np.int64)
-        scalers = self.scalers_for(samples).astype(np.int64)
+        samples = _int_samples(samples)
+        scalers = self.scalers_for(samples)
         overflow = int(scalers.max(initial=0))
         legal = max_scaler(self.config.iq_width)
         if overflow > legal:
@@ -113,8 +117,8 @@ class ModCompressor:
                 f"{legal} for width {self.config.iq_width}; saturate "
                 "samples to int16 before compressing"
             )
-        mantissas = samples >> scalers[:, None]
-        return scalers.astype(np.uint16), mantissas
+        mantissas = samples >> scalers.astype(samples.dtype)[:, None]
+        return scalers, mantissas
 
     def decompress_array(
         self, scalers: np.ndarray, mantissas: np.ndarray
@@ -139,34 +143,17 @@ class ModCompressor:
         """Serialize samples of shape (n_prbs, 24) to the wire format.
 
         Each PRB is emitted as ``csf/scaler halfword || packed
-        mantissas``; all PRBs are packed in one ``np.packbits`` call over
-        the ``(n_prbs, 24, width)`` bit tensor and written with a single
-        strided store.
+        mantissas``; all PRBs are packed by one ``_pack_mantissas`` pass
+        and written with a single strided store.
         """
-        samples = np.ascontiguousarray(samples, dtype=np.int64)
-        memo_key = (self.config.to_byte(), samples.tobytes())
-        cached = _COMPRESS_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
         scalers, mantissas = self.compress_array(samples)
         width = self.config.iq_width
-        n_prbs = len(scalers)
-        mask = np.int64((1 << width) - 1)
-        unsigned = (mantissas & mask).astype(np.uint32)
-        shifts = _bit_shifts(width)
-        bits = ((unsigned[:, :, None] >> shifts[None, None, :]) & 1).astype(
-            np.uint8
-        )
-        blocks = np.packbits(bits.reshape(n_prbs, 24 * width), axis=1)
-        params = scalers.astype(np.uint16)
-        params |= (scalers > 0).astype(np.uint16) << 15  # csf bit
-        out = np.empty((n_prbs, 2 + 3 * width), dtype=np.uint8)
-        out[:, 0] = (params >> 8).astype(np.uint8)
-        out[:, 1] = (params & 0xFF).astype(np.uint8)
-        out[:, 2:] = blocks
-        wire = out.tobytes()
-        _COMPRESS_MEMO.put(memo_key, wire)
-        return wire
+        params = scalers | ((scalers > 0).astype(np.uint16) << 15)  # csf bit
+        out = np.empty((len(scalers), 2 + 3 * width), dtype=np.uint8)
+        out[:, 0] = params >> 8
+        out[:, 1] = params & 0xFF
+        out[:, 2:] = _pack_mantissas(mantissas, width)
+        return out.tobytes()
 
     def decompress(self, payload: bytes, n_prbs: int) -> np.ndarray:
         """Parse a wire payload back to int16 samples of shape (n_prbs, 24)."""
@@ -214,13 +201,7 @@ class ModCompressor:
         )
         params = (grid[:, 0].astype(np.uint16) << 8) | grid[:, 1]
         scalers = (params & 0x7FFF).astype(np.uint16)
-        bits = np.unpackbits(
-            np.ascontiguousarray(grid[:, 2:]), axis=1
-        ).reshape(n_prbs, 2 * SAMPLES_PER_PRB, width)
-        weights = (np.int64(1) << _bit_shifts(width).astype(np.int64))
-        unsigned = bits.astype(np.int64) @ weights
-        sign_bit = np.int64(1) << np.int64(width - 1)
-        mantissas = unsigned - ((unsigned & sign_bit) << 1)
+        mantissas = _unpack_mantissas(grid[:, 2:], width)
         result = (_freeze(scalers), _freeze(mantissas))
         _PARSE_MEMO.put(memo_key, result)
         return result

@@ -63,8 +63,20 @@ class FronthaulPacket:
         return (self.message.time, self.message.direction, self.ecpri.eaxc.ru_port)
 
     def clone(self) -> "FronthaulPacket":
-        """Deep copy — the substrate of the A2 (replicate) action."""
-        return copy.deepcopy(self)
+        """Structural copy — the substrate of the A2 (replicate) action.
+
+        Every layer a middlebox rewrites in place is a new object: the
+        Ethernet header (A1 address rewrite), the eCPRI header (dMIMO
+        eAxC remap), the message, its section list and each section
+        (A4 field and section rewrites).  Frozen values (addresses, eAxC
+        ids, symbol times, compression configs), payload bytes and the
+        read-only IQ decode cache are shared.
+        """
+        message = copy.copy(self.message)
+        message.sections = [copy.copy(section) for section in message.sections]
+        return FronthaulPacket(
+            eth=copy.copy(self.eth), ecpri=copy.copy(self.ecpri), message=message
+        )
 
     def pack(self) -> bytes:
         body = self.message.pack()

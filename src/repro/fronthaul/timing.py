@@ -26,6 +26,11 @@ class SlotType(enum.Enum):
     SPECIAL = "S"
 
 
+#: Pattern character -> slot type; a dict hit instead of an enum-by-value
+#: construction on every per-symbol direction check.
+_SLOT_TYPES = {kind.value: kind for kind in SlotType}
+
+
 @dataclass(frozen=True)
 class Numerology:
     """3GPP numerology mu: subcarrier spacing 15 * 2**mu kHz."""
@@ -137,7 +142,7 @@ class TddPattern:
             raise ValueError(f"special slot symbols must sum to 14, got {total}")
 
     def slot_type(self, absolute_slot: int) -> SlotType:
-        return SlotType(self.pattern[absolute_slot % len(self.pattern)])
+        return _SLOT_TYPES[self.pattern[absolute_slot % len(self.pattern)]]
 
     def is_downlink_symbol(self, absolute_slot: int, symbol: int) -> bool:
         kind = self.slot_type(absolute_slot)

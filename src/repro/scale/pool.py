@@ -432,11 +432,6 @@ class WorkerPool:
         )
 
     @property
-    def live_metrics(self):
-        """The live metric fold (the telemetry stream's registry)."""
-        return self.telemetry.registry
-
-    @property
     def arena_name(self) -> Optional[str]:
         """The shared segment's name (``None`` before start/after close)."""
         return self._arena.name if self._arena is not None else None
@@ -524,16 +519,27 @@ class WorkerPool:
 
     # -- protocol helpers ----------------------------------------------------
 
+    def _worker_died(self, index: int) -> RuntimeError:
+        code = self._processes[index].exitcode
+        return RuntimeError(
+            f"scale worker {index} died mid-command "
+            f"(exitcode {code}); shard groups: "
+            f"{self.plan.shards[index]}"
+        )
+
+    def _send(self, index: int, msg: Tuple) -> None:
+        """Send one command; a dead worker's broken pipe raises the same
+        typed error as a dead worker seen by :meth:`_recv`."""
+        try:
+            self._connections[index].send(msg)
+        except OSError as exc:
+            raise self._worker_died(index) from exc
+
     def _recv(self, index: int):
         try:
             reply = self._connections[index].recv()
         except (EOFError, OSError) as exc:
-            code = self._processes[index].exitcode
-            raise RuntimeError(
-                f"scale worker {index} died mid-command "
-                f"(exitcode {code}); shard groups: "
-                f"{self.plan.shards[index]}"
-            ) from exc
+            raise self._worker_died(index) from exc
         if reply[0] == "error":
             raise RuntimeError(f"scale worker failed:\n{reply[1]}")
         return reply
@@ -557,8 +563,8 @@ class WorkerPool:
         return payload
 
     def _reset(self) -> None:
-        for index, conn in enumerate(self._connections):
-            conn.send(("reset", self._acked[index]))
+        for index in range(len(self._connections)):
+            self._send(index, ("reset", self._acked[index]))
         for index in range(len(self._connections)):
             self._recv(index)
             self._acked[index] = 0
@@ -586,8 +592,8 @@ class WorkerPool:
         replay to.  Returns the epoch's telemetry payloads flattened in
         worker-index order.
         """
-        for index, conn in enumerate(self._connections):
-            conn.send(("epoch", step, final, self._acked[index]))
+        for index in range(len(self._connections)):
+            self._send(index, ("epoch", step, final, self._acked[index]))
         # Barrier: every shard finishes the epoch before any proceeds;
         # acks are tiny (slots, events, payload descriptor, heartbeat).
         payloads = []
@@ -604,8 +610,8 @@ class WorkerPool:
     def _collect_results(self) -> Dict[str, Any]:
         """Gather every group's summary after the horizon completes."""
         groups = {}
-        for index, conn in enumerate(self._connections):
-            conn.send(("collect", self._acked[index]))
+        for index in range(len(self._connections)):
+            self._send(index, ("collect", self._acked[index]))
         for index in range(len(self._connections)):
             reply = self._recv(index)
             if reply[0] != "result":
@@ -694,8 +700,8 @@ class WorkerPool:
         )
 
     def _mutate_exchange(self, rebuild: List[str]) -> None:
-        for index, conn in enumerate(self._connections):
-            conn.send(self._mutate_command(index, rebuild))
+        for index in range(len(self._connections)):
+            self._send(index, self._mutate_command(index, rebuild))
         for index in range(len(self._connections)):
             reply = self._recv(index)
             if reply[0] != "ok":

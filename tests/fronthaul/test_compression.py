@@ -15,6 +15,10 @@ from repro.fronthaul.compression import (
     SAMPLES_PER_PRB,
     BfpCompressor,
     CompressionConfig,
+    _exact_bits_needed,
+    _pack_bits,
+    _pack_mantissas,
+    _unpack_mantissas,
     clear_codec_memo,
     codec_memo_stats,
     merge_payloads,
@@ -288,18 +292,8 @@ class TestGoldenWireBytes:
 
 
 class TestCodecMemo:
-    """Repeated identical payloads (DAS replicate, RU-sharing demux) hit
-    the LRU memo instead of re-running the codec."""
-
-    def test_compress_memo_hit(self, rng):
-        clear_codec_memo()
-        compressor = BfpCompressor()
-        samples = rng.integers(-8000, 8000, size=(20, 24)).astype(np.int16)
-        first = compressor.compress(samples)
-        second = compressor.compress(samples)
-        assert first == second
-        stats = codec_memo_stats()
-        assert stats["compress_hits"] >= 1
+    """Repeated identical payloads (the RU-sharing demux) hit the LRU
+    parse memo instead of re-running the unpack."""
 
     def test_parse_memo_hit(self, rng):
         clear_codec_memo()
@@ -318,6 +312,116 @@ class TestCodecMemo:
         wire9 = BfpCompressor(CompressionConfig(iq_width=9)).compress(samples)
         wire14 = BfpCompressor(CompressionConfig(iq_width=14)).compress(samples)
         assert len(wire9) != len(wire14)
+
+
+def _bit_length_reference(value: int) -> int:
+    """Two's-complement bits needed for ``value``, via ``int.bit_length``."""
+    return (value if value >= 0 else -value - 1).bit_length() + 1
+
+
+class TestExactBitsNeeded:
+    """The OR-reduction exponent search against Python's own integers."""
+
+    BOUNDARY = [-32768, -257, -256, -2, -1, 0, 1, 255, 256, 32767]
+    ACCUMULATOR = [
+        -(1 << 40), -(1 << 31) - 1, -(1 << 31), (1 << 31) - 1, 1 << 31,
+        (1 << 40) - 1, 1 << 40, (1 << 52) - 1, -(1 << 52),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_boundary_rows_match_int_bit_length(self, dtype):
+        rows = np.repeat(np.array(self.BOUNDARY, dtype=dtype)[:, None], 24, axis=1)
+        expected = [_bit_length_reference(v) for v in self.BOUNDARY]
+        assert _exact_bits_needed(rows).tolist() == expected
+
+    def test_int64_accumulator_rows_match_int_bit_length(self):
+        rows = np.repeat(np.array(self.ACCUMULATOR, dtype=np.int64)[:, None], 24, axis=1)
+        expected = [_bit_length_reference(v) for v in self.ACCUMULATOR]
+        assert _exact_bits_needed(rows).tolist() == expected
+
+    def test_mixed_rows_take_the_widest_sample(self, rng):
+        rows = rng.integers(-(1 << 35), 1 << 35, size=(64, 24))
+        rows[:, :12] >>= rng.integers(0, 36, size=(64, 1))
+        expected = [
+            max(_bit_length_reference(int(v)) for v in row) for row in rows
+        ]
+        assert _exact_bits_needed(rows).tolist() == expected
+        assert _exact_bits_needed(rows.astype(np.int64)[:, ::-1]).tolist() == expected
+
+    def test_exponent_above_wire_nibble_still_raises(self):
+        compressor = BfpCompressor(CompressionConfig(iq_width=9))
+        # 1 << 24 needs 26 bits: exponent 17 > 15.
+        hot = np.full((2, 24), 1 << 24, dtype=np.int64)
+        with pytest.raises(ValueError, match="exceeds the 4-bit wire field"):
+            compressor.compress(hot)
+
+
+#: Every legal mantissa width: BFP 2..16 and modcomp 1..14.
+ALL_WIDTHS = sorted(set(range(2, 17)) | set(range(1, 15)))
+
+
+def _reference_blocks(mantissas: np.ndarray, width: int) -> bytes:
+    """Per-PRB seed packing of signed mantissas (the scalar reference)."""
+    unsigned = (mantissas.astype(np.int64) & ((1 << width) - 1)).astype(np.uint32)
+    return b"".join(_pack_bits(row, width) for row in unsigned)
+
+
+def _extreme_mantissas(rng, width: int, n_prbs: int = 7) -> np.ndarray:
+    low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    mantissas = rng.integers(low, high + 1, size=(n_prbs, 24))
+    mantissas[0] = low
+    mantissas[1] = high
+    mantissas[2, ::2] = -1
+    return mantissas
+
+
+class TestMantissaPacking:
+    """Narrow-dtype pack / gather-unpack against the seed bit packer."""
+
+    @pytest.mark.parametrize("width", ALL_WIDTHS)
+    def test_round_trip_every_width(self, rng, width):
+        mantissas = _extreme_mantissas(rng, width)
+        blocks = _pack_mantissas(mantissas, width)
+        assert blocks.shape == (len(mantissas), 3 * width)
+        assert blocks.tobytes() == _reference_blocks(mantissas, width)
+        assert (_unpack_mantissas(blocks, width) == mantissas).all()
+        empty = _pack_mantissas(np.zeros((0, 24), dtype=np.int16), width)
+        assert empty.shape == (0, 3 * width)
+        assert _unpack_mantissas(empty, width).shape == (0, 24)
+
+    @pytest.mark.parametrize("width", ALL_WIDTHS)
+    def test_non_contiguous_inputs(self, rng, width):
+        base = _extreme_mantissas(rng, width, n_prbs=14)
+        wide = np.zeros((14, 48), dtype=np.int64)
+        wide[:, 1::2] = base
+        views = {
+            "strided": wide[:, 1::2],
+            "every_other_prb": wide[::2, 1::2],
+            "fortran": np.asfortranarray(base.astype(np.int16)),
+            "reversed": base.astype(np.int32)[::-1, ::-1],
+        }
+        for name, view in views.items():
+            assert not view.flags.c_contiguous, name
+            blocks = _pack_mantissas(view, width)
+            assert blocks.tobytes() == _reference_blocks(view, width), name
+            # Unpack from a strided byte grid, as parse_wire does.
+            grid = np.zeros((len(view), 1 + 3 * width), dtype=np.uint8)
+            grid[:, 1:] = blocks
+            assert (_unpack_mantissas(grid[:, 1:], width) == view).all(), name
+
+    @pytest.mark.parametrize("width", range(2, 17))
+    def test_bfp_wire_matches_seed_packing_every_width(self, rng, width):
+        compressor = BfpCompressor(CompressionConfig(iq_width=width))
+        samples = rng.integers(-32768, 32768, size=(5, 24)).astype(np.int16)
+        exponents, mantissas = compressor.compress_array(samples)
+        grid = np.frombuffer(compressor.compress(samples), dtype=np.uint8)
+        grid = grid.reshape(5, 1 + 3 * width)
+        assert grid[:, 0].tolist() == exponents.tolist()
+        assert grid[:, 1:].tobytes() == _reference_blocks(mantissas, width)
+        clear_codec_memo()
+        parsed_exponents, parsed = compressor.parse_wire(grid.tobytes(), 5)
+        assert (parsed == mantissas).all()
+        assert (parsed_exponents == exponents).all()
 
 
 class TestBatchedHelpers:

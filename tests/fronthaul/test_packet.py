@@ -1,7 +1,10 @@
 """Full fronthaul frame tests: Ethernet + eCPRI + message."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.conformance import generators as gen
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ecpri import EAxCId, EcpriMessageType
 from repro.fronthaul.ethernet import MacAddress, VlanTag
@@ -115,3 +118,50 @@ class TestFronthaulPacket:
         for packet in (uplane_packet, cplane_packet):
             first = packet.pack()
             assert parse_packet(first).pack() == first
+
+
+class TestCloneProperties:
+    """``clone()`` is a structural copy: byte-identical on the wire, and
+    every layer a middlebox rewrites in place is the clone's own."""
+
+    @staticmethod
+    def _variants(packet):
+        # Built packets own their payload bytes; parsed ones hold
+        # zero-copy views into the frame.
+        return (packet, parse_packet(packet.pack()))
+
+    @settings(max_examples=80, deadline=None)
+    @given(packet=gen.fronthaul_packets())
+    def test_clone_packs_identically(self, packet):
+        for original in self._variants(packet):
+            wire = original.pack()
+            assert original.clone().pack() == wire
+            assert original.wire_size == len(wire)
+            assert original.clone().wire_size == len(wire)
+
+    @settings(max_examples=80, deadline=None)
+    @given(packet=gen.fronthaul_packets(), data=st.data())
+    def test_mutating_clone_leaves_original(self, packet, data):
+        for original in self._variants(packet):
+            wire = original.pack()
+            clone = original.clone()
+            clone.eth.dst = MacAddress.from_int(
+                original.eth.dst.to_int() ^ 0xFFFFFF
+            )
+            clone.eth.src = clone.eth.dst
+            clone.ecpri.eaxc = EAxCId.from_int(original.ecpri.eaxc.to_int() ^ 0xF)
+            clone.ecpri.seq_id = (original.ecpri.seq_id + 1) & 0xFF
+            section = clone.message.sections[0]
+            if clone.is_uplane:
+                section.section_id = (section.section_id + 1) & 0xFFF
+                clone.message.sections[0] = data.draw(
+                    gen.uplane_sections(), label="replacement"
+                )
+            else:
+                section.beam_id = (section.beam_id + 1) & 0x7FFF
+                section.num_prb += 1
+                if section.freq_offset is not None:
+                    section.freq_offset += 1
+            clone.message.sections.append(clone.message.sections[0])
+            assert clone.pack() != wire
+            assert original.pack() == wire

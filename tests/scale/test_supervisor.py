@@ -209,6 +209,30 @@ def test_sigkill_mid_epoch_cleanup_without_supervision():
     _assert_no_segment(segment)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["first_run", "rerun"])
+def test_dead_worker_send_raises_typed_error(warm):
+    """A worker that is already reaped breaks the coordinator's *send*,
+    not its recv: the first run's epoch command (or a rerun's reset)
+    must still surface as the typed died-mid-command error, never a raw
+    BrokenPipeError."""
+    from repro.scale.pool import WorkerPool
+
+    spec = _spec(chaos=(), supervisor=None, obs=False)
+    pool = WorkerPool(spec, workers=2)
+    if warm:
+        pool.run()
+    else:
+        pool.start()
+    segment = pool.arena_name
+    victim = pool._processes[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=10.0)
+    assert not victim.is_alive()
+    with pytest.raises(RuntimeError, match="scale worker 0 died mid-command"):
+        pool.run()
+    _assert_no_segment(segment)
+
+
 def test_unsupervised_spec_with_chaos_routes_to_supervised_pool():
     """run_scenario picks the self-healing pool whenever the spec
     carries chaos injections, even without an explicit supervisor."""
