@@ -70,9 +70,6 @@ class RuPortMap:
             base += count
         raise ValueError(f"unknown RU {ru_mac}")
 
-    def primary_ru(self) -> MacAddress:
-        return self.groups[0][0]
-
     def secondary_first_ports(self) -> List[Tuple[MacAddress, int]]:
         """(ru_mac, global port of local port 0) for each non-primary RU."""
         result = []

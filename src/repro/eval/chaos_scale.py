@@ -12,13 +12,13 @@ This eval sweeps that claim across the failure classes:
    seeded_chaos_sweep` injection per kind (kill -9 mid-epoch, stalled
    worker, poisoned reply, corrupted arena frame) plus explicit kill
    points at the first and last barrier epoch, each run at 2 and 4
-   workers under a supervised pool.  Asserts, per run: digest equality
-   with the unfaulted reference, identical merged timelines, identical
-   deterministic stream expositions, ``live_snapshot() == collect()``
-   after recovery, and at least one restart actually happened (a sweep
+   workers under the spec's supervision policy.  Asserts, per run:
+   digest equality with the unfaulted reference, identical merged
+   timelines, identical deterministic stream expositions,
+   ``live_snapshot() == collect()`` after recovery, and at least one restart actually happened (a sweep
    that silently stopped injecting proves nothing).
 2. **Restart-budget exhaustion** — a re-arming kill that outlives its
-   budget must end in :class:`~repro.scale.supervisor.
+   budget must end in :class:`~repro.scale.pool.
    ShardRecoveryExhausted` in bounded wall time, with partial results
    from the surviving workers, every worker process dead, and the
    shared-memory segment unlinked.
@@ -41,7 +41,7 @@ from repro.eval.report import format_table
 from repro.faults.process import ProcessChaosSpec, seeded_chaos_sweep
 from repro.obs.live import deterministic_exposition
 from repro.scale import ScenarioSpec, run_scenario
-from repro.scale.supervisor import ShardRecoveryExhausted, SupervisedWorkerPool
+from repro.scale.pool import ShardRecoveryExhausted, WorkerPool
 
 DEFAULT_SLOTS = 8
 DEFAULT_WORKERS = (2, 4)
@@ -306,7 +306,7 @@ def _run_exhaustion(spec: ScenarioSpec) -> Dict[str, Any]:
     ]
     data["supervisor"] = dict(SUPERVISOR, max_restarts_per_worker=budget)
     doomed = ScenarioSpec.from_dict(data)
-    pool = SupervisedWorkerPool(doomed, workers=2)
+    pool = WorkerPool(doomed, workers=2)
     pool.start()
     segment = pool.arena_name
     started = time.monotonic()

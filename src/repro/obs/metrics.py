@@ -420,9 +420,16 @@ class MetricsRegistry:
                         for key in sample["buckets"]
                         if key != "inf"
                     )
+                    # A family registered but never observed carries no
+                    # bounds; registering it with none would reject the
+                    # next snapshot's samples, so it gets the default.
                     family = self.histogram(
                         name, family_snap["help"], labels,
-                        buckets=tuple(dict.fromkeys(bounds)),
+                        buckets=(
+                            tuple(dict.fromkeys(bounds))
+                            if series
+                            else DEFAULT_NS_BUCKETS
+                        ),
                     )
                 elif kind == "sketch":
                     accuracies = {

@@ -31,13 +31,9 @@ class PduSession:
     session_id: int
     imsi: str
     dl_bits: int = 0
-    ul_bits: int = 0
 
     def account_downlink(self, bits: int) -> None:
         self.dl_bits += bits
-
-    def account_uplink(self, bits: int) -> None:
-        self.ul_bits += bits
 
 
 class RegistrationError(Exception):
@@ -95,6 +91,3 @@ class CoreNetwork:
 
     def total_dl_bits(self) -> int:
         return sum(s.dl_bits for s in self._sessions.values())
-
-    def total_ul_bits(self) -> int:
-        return sum(s.ul_bits for s in self._sessions.values())

@@ -30,7 +30,12 @@ from repro.scale.arena import (
     write_payload,
 )
 from repro.scale.build import BuiltCell, BuiltGroup, build_groups
-from repro.scale.pool import DEFAULT_ARENA_BYTES, JOIN_TIMEOUT_S, WorkerPool
+from repro.scale.pool import (
+    DEFAULT_ARENA_BYTES,
+    JOIN_TIMEOUT_S,
+    ShardRecoveryExhausted,
+    WorkerPool,
+)
 from repro.scale.registry import (
     STAGE_REGISTRY,
     StageBuildContext,
@@ -55,10 +60,6 @@ from repro.scale.spec import (
     StageSpec,
     SupervisorSpec,
     UeSpec,
-)
-from repro.scale.supervisor import (
-    ShardRecoveryExhausted,
-    SupervisedWorkerPool,
 )
 
 
@@ -153,7 +154,6 @@ __all__ = [
     "ShardRecoveryExhausted",
     "StageBuildContext",
     "StageSpec",
-    "SupervisedWorkerPool",
     "SupervisorSpec",
     "UeSpec",
     "WorkerPool",

@@ -64,8 +64,8 @@ class ArenaFrameError(RuntimeError):
     A corrupted (or maliciously poisoned) descriptor must never reach
     ``pickle.loads`` — unpickling attacker-shaped garbage is the exact
     failure class shared-memory transports are infamous for.
-    :func:`validate_descriptor` raises this instead, and the supervised
-    pool routes it to the recovery path like any other worker fault.
+    :func:`validate_descriptor` raises this instead, and the pool's
+    barrier routes it to the recovery path like any other worker fault.
     """
 
 

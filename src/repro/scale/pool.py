@@ -28,24 +28,91 @@ any worker count) while removing all three overheads:
    the control pipe.  A payload that outgrows its ring falls back to
    the pipe for that payload — slower, never wrong.
 
-Teardown is unconditional: normal exit, a coordinator exception mid-run
-and a crashed worker all funnel through :meth:`WorkerPool.close`, which
-drains workers (``exit`` then join, terminate, kill), closes the control
-pipes and unlinks the shared-memory segment.  A ``weakref.finalize``
-backstop covers even a dropped, never-closed pool.
+Failure model
+-------------
+
+A middlebox-as-a-service deployment (ROADMAP north star) cannot let one
+shard's failure take down a process serving dozens of cells, and a
+*hung* worker must never block the coordinator's ``recv`` forever.
+Every command (``reset``, ``epoch``, ``collect``, ``mutate``) therefore
+goes through one barrier, run under a supervision policy — a
+:class:`~repro.scale.spec.SupervisorSpec` derived from the spec by
+:func:`supervision_policy`:
+
+- the spec's own ``supervisor`` when it sets one;
+- :class:`SupervisorSpec`'s defaults when it only carries
+  ``process_chaos`` (an unsupervised chaos run would just crash);
+- :data:`FAIL_FAST` otherwise: an infinite deadline and a zero restart
+  budget, so the first failure ends the run.
+
+**No barrier waits on a dead worker.**  Every reply is awaited with a
+poll loop bounded by
+:attr:`~repro.scale.spec.SupervisorSpec.barrier_timeout_s` (infinite
+under :data:`FAIL_FAST`, where only a crash ends the wait),
+interleaved with ``Process.is_alive()`` checks, and every accepted
+reply must carry a heartbeat whose pid matches the process being
+barriered on.  Crash, hang, protocol violation and arena frame
+corruption each become a typed :class:`WorkerFailure` instead of a
+deadlock or an unpickled lie.  A worker's ``("error", traceback)``
+reply is a deterministic application error — replaying would fail
+identically — so it raises ``scale worker failed`` without recovery.
+
+**Recovery is exact, not approximate.**  On failure the pool kills only
+the affected worker, resets its arena ring, respawns it with
+``replay_slots`` = the number of slots every shard had confirmed at the
+last successful barrier, and re-issues the command.  The replacement
+rebuilds its coupling groups from the deterministic
+:class:`~repro.scale.spec.ScenarioSpec` and replays the confirmed
+prefix epoch by epoch — generating and *discarding* the telemetry
+payloads the coordinator already folded, so the per-group delta
+baselines advance without double counting.  Determinism makes the
+replayed state bit-identical to the lost one: the digest oracle
+(sharded == single-process at 1/2/4/8 workers) holds across
+recoveries, and ``live_snapshot() == collect()`` still holds byte for
+byte because the final epoch's cumulative snapshots come out of the
+replayed groups exactly as they would have from the originals.  A
+worker lost *between* runs is healed the same way, at the next run's
+``reset`` barrier.
+
+**Failure is bounded, never silent.**  Respawns back off geometrically
+and each worker has a restart budget
+(:attr:`~repro.scale.spec.SupervisorSpec.max_restarts_per_worker`).
+Exhausting it raises :class:`ShardRecoveryExhausted` — a
+``RuntimeError`` naming the last failure (a crash reads ``scale worker
+N died mid-command``) and carrying the partial per-group results
+scavenged from the surviving workers.
+
+Recovery events surface in the obs plane: the coordinator-side
+:attr:`WorkerPool.metrics` registry counts
+``scale_worker_restarts_total`` and
+``scale_recovery_replayed_slots_total`` per worker (kept out of the
+telemetry stream's registry on purpose — the final cumulative rebuild
+would wipe them and break live == collect), and each restart rides the
+next :class:`~repro.obs.slo.EpochSample` as ``worker_restarts``, where
+an SLO objective can window and alert on it.
+
+Teardown is unconditional: normal exit, a coordinator exception mid-run,
+a crashed worker and an exhausted budget all funnel through
+:meth:`WorkerPool.close`, which drains workers (``exit`` then join,
+terminate, kill), closes the control pipes and unlinks the
+shared-memory segment.  A ``weakref.finalize`` backstop covers even a
+dropped, never-closed pool.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import time
 import traceback
 import weakref
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import GroupStreamSource, TelemetryStream
 from repro.scale.arena import (
+    ArenaFrameError,
     ArenaFullError,
     SharedArena,
     payload_nbytes,
@@ -56,8 +123,16 @@ from repro.scale.arena import (
     write_payload,
 )
 from repro.scale.build import BuiltGroup, build_groups
+from repro.scale.runner import (
+    ScenarioResult,
+    _attach_engines,
+    _make_sources,
+    _step_epochs,
+    _step_groups,
+    _summarize_group,
+)
 from repro.scale.shard import plan_shards, rebalance_plan
-from repro.scale.spec import ScenarioSpec, assert_same_run_shape
+from repro.scale.spec import ScenarioSpec, SupervisorSpec, assert_same_run_shape
 
 #: Default ring size per worker; collected results that outgrow it fall
 #: back to the control pipe, so this trades speed, not correctness.
@@ -66,6 +141,28 @@ DEFAULT_ARENA_BYTES = 4 * 1024 * 1024
 #: Sentinel marking a payload that had to travel over the control pipe
 #: because its ring was full.
 _INLINE = "inline"
+
+#: The policy of a spec with neither ``supervisor`` nor ``process_chaos``:
+#: wait on a barrier as long as its worker lives, and end the run at the
+#: first failure.
+FAIL_FAST = SupervisorSpec(barrier_timeout_s=math.inf, max_restarts_per_worker=0)
+
+#: Respawns performed by the pool, labelled by worker index.
+RESTARTS_METRIC = "scale_worker_restarts_total"
+
+#: Group-slots replayed to fast-forward replacement workers (slots x
+#: groups on the respawned shard), labelled by worker index.
+REPLAYED_SLOTS_METRIC = "scale_recovery_replayed_slots_total"
+
+#: The failure classes the barrier distinguishes.
+FAILURE_KINDS = ("crash", "hang", "poisoned", "frame")
+
+
+def supervision_policy(spec: ScenarioSpec) -> SupervisorSpec:
+    """The supervision policy a pool runs ``spec`` under (module docstring)."""
+    if spec.supervisor is not None:
+        return spec.supervisor
+    return SupervisorSpec() if spec.process_chaos else FAIL_FAST
 
 
 def _env_join_timeout(default: float = 10.0) -> float:
@@ -86,6 +183,56 @@ def _env_join_timeout(default: float = 10.0) -> float:
 JOIN_TIMEOUT_S = _env_join_timeout()
 
 
+class WorkerFailure(Exception):
+    """One recoverable worker fault, classified.
+
+    Internal to the barrier: every instance is either consumed by a
+    successful respawn or folded into the :class:`ShardRecoveryExhausted`
+    that ends the run.
+    """
+
+    def __init__(self, kind: str, worker: int, detail: str):
+        if kind not in FAILURE_KINDS:
+            raise ValueError(f"unknown failure kind {kind!r}")
+        super().__init__(f"worker {worker} {kind}: {detail}")
+        self.kind = kind
+        self.worker = worker
+        self.detail = detail
+
+
+class ShardRecoveryExhausted(RuntimeError):
+    """A worker burned through its restart budget; the run is over.
+
+    Carries everything an operator needs: the shard that kept dying,
+    its failure log (the message repeats the last entry's detail), and
+    ``partial`` — the per-group results scavenged best-effort from the
+    workers that were still healthy, so a majority-healthy run's data is
+    not thrown away with the error.  ``run()`` tears the pool down
+    (processes joined, segment unlinked) before it propagates.
+    """
+
+    def __init__(
+        self,
+        worker: int,
+        shard_groups: List[str],
+        restarts: int,
+        failures: List[Dict[str, Any]],
+        partial: Dict[str, Any],
+    ):
+        super().__init__(
+            f"shard recovery exhausted: worker {worker} "
+            f"(groups {shard_groups}) failed "
+            f"{len(failures)} time(s) with {restarts} restart(s) spent; "
+            f"partial results for {sorted(partial)}; "
+            f"last failure: {failures[-1]['detail']}"
+        )
+        self.worker = worker
+        self.shard_groups = shard_groups
+        self.restarts = restarts
+        self.failures = failures
+        self.partial = partial
+
+
 def _stop_process(process, graceful: bool = True) -> None:
     """Bounded-time stop: join, escalate to terminate, escalate to kill.
 
@@ -102,6 +249,22 @@ def _stop_process(process, graceful: bool = True) -> None:
     if process.is_alive():
         process.kill()
         process.join(timeout=JOIN_TIMEOUT_S / 2)
+
+
+def _build_replayed(
+    spec: ScenarioSpec, names: List[str], shard: int, slots: int
+) -> Tuple[List[BuiltGroup], List[GroupStreamSource], int]:
+    """Build ``names`` fresh and fast-forward them over ``slots`` slots.
+
+    The replayed epochs' payloads are discarded (the coordinator folded
+    the originals).  Returns the groups, their telemetry sources and the
+    number of epochs replayed.
+    """
+    groups = build_groups(spec, names)
+    _attach_engines(groups)
+    sources = _make_sources(spec, groups, shard)
+    epochs = sum(1 for _ in _step_epochs(spec, groups, sources, 0, slots))
+    return groups, sources, epochs
 
 
 def _worker_loop(
@@ -145,26 +308,22 @@ def _worker_loop(
       failure answers ``error`` and leaves the run as it was.
     - ``("exit",)`` leaves the loop; the worker closes its mapping.
 
-    The trailing heartbeat (``{"pid", "clock"}``) lets the supervised
-    pool reject replies that cannot have come from the process it is
+    The trailing heartbeat (``{"pid", "clock"}``) lets the coordinator
+    reject replies that cannot have come from the process it is
     barriering on.
 
     ``replay_slots`` is the respawn fast-forward: a worker replacing a
     failed one replays that many already-completed slots *before*
-    serving — stepping its groups and generating-then-discarding each
-    epoch's telemetry payloads, so determinism leaves it in exactly the
-    state its predecessor confirmed at the last successful barrier (the
-    coordinator folded those payloads already; regenerating advances the
-    delta baselines without double-counting).  ``chaos_armed=False``
-    (the respawn default) disarms one-shot fault injections so recovery
-    converges; ``rearm`` injections stay live.
+    serving, so determinism leaves it in exactly the state its
+    predecessor confirmed at the last successful barrier.
+    ``chaos_armed=False`` (the respawn default) disarms one-shot fault
+    injections so recovery converges; ``rearm`` injections stay live.
 
     A build failure is remembered and answered to every command instead
     of closing the pipe, so the coordinator surfaces the traceback
     rather than a BrokenPipeError.
     """
     from repro.faults.process import ProcessChaosAgent, corrupt_descriptor
-    from repro.scale.runner import _attach_engines, _step_groups, _summarize_group
 
     failure: Optional[str] = None
     groups: List[BuiltGroup] = []
@@ -175,37 +334,17 @@ def _worker_loop(
     chaos_agent: Optional[ProcessChaosAgent] = None
     epoch_index = 0
 
-    def _make_sources() -> List[GroupStreamSource]:
-        if not spec.obs.enabled:
-            return []
-        return [
-            GroupStreamSource(group, shard=region, stream=spec.obs.stream)
-            for group in groups
-        ]
-
     def _heartbeat() -> Dict[str, float]:
         return {"pid": os.getpid(), "clock": time.monotonic()}
 
     try:
         spec = ScenarioSpec.from_dict(spec_dict)
-        groups = build_groups(spec, names)
-        _attach_engines(groups)
-        sources = _make_sources()
         chaos_agent = ProcessChaosAgent(
             spec.chaos_specs(), region, names, armed=chaos_armed
         )
-        # Respawn fast-forward: replay the confirmed prefix of the
-        # horizon at the run's epoch cadence.  Payloads are discarded —
-        # the coordinator already folded the originals.
-        cadence = spec.effective_epoch_slots()
-        replayed = 0
-        while replayed < replay_slots:
-            step = min(cadence, replay_slots - replayed)
-            _step_groups(groups, step)
-            replayed += step
-            for source in sources:
-                source.epoch_payload(final=replayed >= spec.slots)
-            epoch_index += 1
+        groups, sources, epoch_index = _build_replayed(
+            spec, names, region, replay_slots
+        )
         arena = SharedArena.attach(arena_name, regions, bytes_per_worker)
         ring = arena.ring(region)
     except Exception:
@@ -244,7 +383,7 @@ def _worker_loop(
                     os.kill(os.getpid(), signal.SIGKILL)
                 if chaos is not None and chaos.kind == "stall":
                     # Hang through the barrier deadline; if the
-                    # supervisor has not killed us by the time the nap
+                    # coordinator has not killed us by the time the nap
                     # ends we proceed as a merely slow worker.
                     time.sleep(chaos.stall_s)
                 if chaos is not None and chaos.kind == "poison":
@@ -270,70 +409,40 @@ def _worker_loop(
                 results = [_summarize_group(group) for group in groups]
                 conn.send(("result", ship(results), _heartbeat()))
             elif op == "reset":
-                groups = build_groups(spec, names)
-                _attach_engines(groups)
-                sources = _make_sources()
+                groups, sources, epoch_index = _build_replayed(
+                    spec, names, region, 0
+                )
                 chaos_agent = ProcessChaosAgent(
                     spec.chaos_specs(), region, names, armed=True
                 )
-                epoch_index = 0
                 if ring is not None:
                     ring.reset()
                 conn.send(("ok", 0, 0, None, _heartbeat()))
             elif op == "mutate":
-                new_spec = ScenarioSpec.from_dict(command[1])
-                new_names = list(command[2])
-                rebuild = set(command[3])
-                replay = command[4]
-                kept = {
-                    group.name: (group, source)
-                    for group, source in zip(
-                        groups, sources or [None] * len(groups)
-                    )
+                _, new_dict, new_names, rebuild, replay, _ = command
+                kept = [
+                    group
+                    for group in groups
                     if group.name in new_names and group.name not in rebuild
-                }
-                fresh_names = [
-                    name for name in new_names if name not in kept
                 ]
-                fresh = build_groups(new_spec, fresh_names)
-                _attach_engines(fresh)
-                fresh_sources = (
-                    [
-                        GroupStreamSource(
-                            group, shard=region, stream=new_spec.obs.stream
-                        )
-                        for group in fresh
-                    ]
-                    if new_spec.obs.enabled
-                    else [None] * len(fresh)
+                kept_names = {group.name for group in kept}
+                new_spec = ScenarioSpec.from_dict(new_dict)
+                fresh, fresh_sources, _ = _build_replayed(
+                    new_spec,
+                    [name for name in new_names if name not in kept_names],
+                    region,
+                    replay,
                 )
-                # Fast-forward only the rebuilt groups over the
-                # confirmed prefix, at the run's epoch cadence; the
-                # generated payloads are discarded — they describe
-                # epochs the coordinator already folded.
-                cadence = new_spec.effective_epoch_slots()
-                replayed = 0
-                while replayed < replay:
-                    step_slots = min(cadence, replay - replayed)
-                    _step_groups(fresh, step_slots)
-                    replayed += step_slots
-                    for source in fresh_sources:
-                        if source is not None:
-                            source.epoch_payload(
-                                final=replayed >= new_spec.slots
-                            )
-                by_name = dict(kept)
-                by_name.update(
-                    {
-                        group.name: (group, source)
-                        for group, source in zip(fresh, fresh_sources)
-                    }
-                )
+                group_by_name = {group.name: group for group in kept + fresh}
+                source_by_name = {
+                    source.group.name: source
+                    for source in sources + fresh_sources
+                }
                 spec = new_spec
-                names = new_names
-                groups = [by_name[name][0] for name in new_names]
+                names = list(new_names)
+                groups = [group_by_name[name] for name in names]
                 sources = (
-                    [by_name[name][1] for name in new_names]
+                    [source_by_name[name] for name in names]
                     if spec.obs.enabled
                     else []
                 )
@@ -380,7 +489,8 @@ class WorkerPool:
     ``run()`` returns the same :class:`~repro.scale.runner.
     ScenarioResult` the single-process path produces, with
     ``result.transport`` describing how many bytes moved through shared
-    memory versus pipe fallbacks.
+    memory versus pipe fallbacks and ``result.recovery`` describing any
+    self-healing under the :attr:`supervisor` policy.
     """
 
     def __init__(
@@ -401,9 +511,20 @@ class WorkerPool:
         )
         self.bus = bus
         self.tail = tail
+        #: The barrier's supervision policy (fixed: a mutation may not
+        #: change it; see :func:`~repro.scale.spec.assert_same_run_shape`).
+        self.supervisor = supervision_policy(spec)
         #: The live coordinator fold of every epoch's telemetry payloads
         #: (fresh per run; see :mod:`repro.obs.stream`).
         self.telemetry: TelemetryStream = self._new_stream()
+        #: Coordinator-side recovery metrics (NOT the stream registry,
+        #: which the final cumulative fold rebuilds from worker
+        #: snapshots — restarts are coordinator events and live here).
+        self.metrics = MetricsRegistry()
+        #: Respawns per worker in the current run.
+        self.restarts: List[int] = []
+        self._failures: List[Dict[str, Any]] = []
+        self._replayed_slots = 0
         self._arena: Optional[SharedArena] = None
         self._spec_dict: Dict[str, Any] = {}
         self._connections: List = []
@@ -517,32 +638,142 @@ class WorkerPool:
         if self._finalizer is not None:
             self._finalizer.detach()
 
-    # -- protocol helpers ----------------------------------------------------
+    # -- the barrier ---------------------------------------------------------
 
-    def _worker_died(self, index: int) -> RuntimeError:
+    def _barrier(self, command: Callable[[int], Tuple]) -> List[Any]:
+        """Issue ``command(index)`` to every worker, then await each reply.
+
+        A failed worker is recovered and the command re-issued (it is
+        rebuilt from current state, so a resend carries the respawned
+        ring's reset ack watermark), or the run is declared exhausted.
+        Returns each worker's decoded bulk payload (``None`` for a reply
+        without one), in worker order.
+        """
+        done = self._done
+        for index in range(len(self._connections)):
+            self._issue(index, command, done)
+        payloads = []
+        for index in range(len(self._connections)):
+            while True:
+                try:
+                    reply = self._recv_deadline(
+                        index, self._barrier_timeout(done)
+                    )
+                    payloads.append(
+                        self._decode(index, command(index), reply)
+                    )
+                    break
+                except WorkerFailure as failure:
+                    self._recover(index, failure, done)
+                    self._issue(index, command, done)
+        return payloads
+
+    def _barrier_timeout(self, done: int) -> float:
+        """The reply deadline, scaled for post-respawn replay time.
+
+        A replacement worker replays ``done`` confirmed slots before it
+        can answer the re-issued command, so the allowance grows with
+        the confirmed prefix — one base timeout per completed epoch.
+        """
+        epochs_done = done // self.spec.effective_epoch_slots()
+        return self.supervisor.barrier_timeout_s * (1 + epochs_done)
+
+    def _crash(self, index: int, why: str) -> WorkerFailure:
         code = self._processes[index].exitcode
-        return RuntimeError(
-            f"scale worker {index} died mid-command "
-            f"(exitcode {code}); shard groups: "
-            f"{self.plan.shards[index]}"
+        return WorkerFailure(
+            "crash",
+            index,
+            f"scale worker {index} died mid-command (exitcode {code}): {why}",
         )
 
-    def _send(self, index: int, msg: Tuple) -> None:
-        """Send one command; a dead worker's broken pipe raises the same
-        typed error as a dead worker seen by :meth:`_recv`."""
-        try:
-            self._connections[index].send(msg)
-        except OSError as exc:
-            raise self._worker_died(index) from exc
+    def _issue(
+        self, index: int, command: Callable[[int], Tuple], done: int
+    ) -> None:
+        """Send a command, recovering (then resending) on a dead pipe."""
+        while True:
+            try:
+                self._connections[index].send(command(index))
+                return
+            except OSError as exc:
+                self._recover(
+                    index,
+                    self._crash(index, f"control-pipe send failed: {exc}"),
+                    done,
+                )
 
-    def _recv(self, index: int):
-        try:
-            reply = self._connections[index].recv()
-        except (EOFError, OSError) as exc:
-            raise self._worker_died(index) from exc
-        if reply[0] == "error":
+    def _recv_deadline(self, index: int, timeout: float) -> Tuple:
+        """Await one reply; classify silence as crash or hang, bounded."""
+        conn = self._connections[index]
+        process = self._processes[index]
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise WorkerFailure(
+                    "hang",
+                    index,
+                    f"no barrier reply within {timeout:.1f}s "
+                    f"(pid {process.pid} still alive)",
+                )
+            try:
+                ready = conn.poll(
+                    min(self.supervisor.poll_interval_s, remaining)
+                )
+            except (OSError, EOFError) as exc:
+                raise self._crash(index, f"control pipe broke: {exc}")
+            if ready:
+                try:
+                    return conn.recv()
+                except (EOFError, OSError) as exc:
+                    raise self._crash(index, f"died mid-reply: {exc}")
+            if not process.is_alive() and not conn.poll(0):
+                raise self._crash(index, "exited with no reply in flight")
+
+    def _decode(self, index: int, sent: Tuple, reply: Any) -> Any:
+        """Validate one reply to ``sent``; return its bulk payload or None.
+
+        Rejects, as :class:`WorkerFailure`, replies the live worker
+        cannot have produced.  A worker-side ``("error", traceback)``
+        reply propagates as a plain ``RuntimeError``: recovery is for
+        *process* faults, not for bugs.
+        """
+        if (
+            isinstance(reply, tuple)
+            and len(reply) == 2
+            and reply[0] == "error"
+        ):
             raise RuntimeError(f"scale worker failed:\n{reply[1]}")
-        return reply
+        collect = sent[0] == "collect"
+        expect, length = ("result", 3) if collect else ("ok", 5)
+        if (
+            not isinstance(reply, tuple)
+            or len(reply) != length
+            or reply[0] != expect
+        ):
+            raise WorkerFailure(
+                "poisoned", index, f"protocol-violating reply: {reply!r}"
+            )
+        heartbeat = reply[-1]
+        pid = self._processes[index].pid
+        if not isinstance(heartbeat, dict) or heartbeat.get("pid") != pid:
+            raise WorkerFailure(
+                "poisoned",
+                index,
+                f"heartbeat {heartbeat!r} does not match worker pid {pid}",
+            )
+        if sent[0] == "epoch" and reply[1] != sent[1]:
+            raise WorkerFailure(
+                "poisoned",
+                index,
+                f"acked {reply[1]} slots for a {sent[1]}-slot epoch",
+            )
+        descriptor = reply[1] if collect else reply[3]
+        if descriptor is None:
+            return None
+        try:
+            return self._read_bulk(index, descriptor)
+        except ArenaFrameError as exc:
+            raise WorkerFailure("frame", index, str(exc))
 
     def _read_bulk(self, index: int, descriptor) -> Any:
         """Decode one shipped payload: arena descriptor or inline tuple."""
@@ -562,78 +793,108 @@ class WorkerPool:
         self._transport["arena_bytes"] += payload_nbytes(descriptor)
         return payload
 
-    def _reset(self) -> None:
-        for index in range(len(self._connections)):
-            self._send(index, ("reset", self._acked[index]))
-        for index in range(len(self._connections)):
-            self._recv(index)
-            self._acked[index] = 0
+    # -- recovery ------------------------------------------------------------
 
-    # -- execution -----------------------------------------------------------
-
-    def _begin_run(self) -> None:
-        """Per-run state reset (the supervised pool adds its budgets)."""
-        if self._dirty:
-            self._reset()
-        self._dirty = True
-        self.telemetry = self._new_stream()
-        self._transport = {
-            "arena_payloads": 0,
-            "arena_bytes": 0,
-            "pipe_fallback_payloads": 0,
-            "epochs": 0,
-        }
-
-    def _epoch_barrier(self, step: int, final: bool, done: int) -> List[Any]:
-        """One barrier: every shard runs ``step`` slots, acks collected.
-
-        ``done`` is the count of slots already confirmed before this
-        epoch — the fast-forward point a supervised recovery would
-        replay to.  Returns the epoch's telemetry payloads flattened in
-        worker-index order.
-        """
-        for index in range(len(self._connections)):
-            self._send(index, ("epoch", step, final, self._acked[index]))
-        # Barrier: every shard finishes the epoch before any proceeds;
-        # acks are tiny (slots, events, payload descriptor, heartbeat).
-        payloads = []
-        for index in range(len(self._connections)):
-            reply = self._recv(index)
-            if reply[0] != "ok":
-                raise RuntimeError(
-                    f"scale worker protocol error: {reply!r}"
-                )
-            if reply[3] is not None:
-                payloads.extend(self._read_bulk(index, reply[3]))
-        return payloads
-
-    def _collect_results(self) -> Dict[str, Any]:
-        """Gather every group's summary after the horizon completes."""
-        groups = {}
-        for index in range(len(self._connections)):
-            self._send(index, ("collect", self._acked[index]))
-        for index in range(len(self._connections)):
-            reply = self._recv(index)
-            if reply[0] != "result":
-                raise RuntimeError(
-                    f"scale worker protocol error: {reply!r}"
-                )
-            for result in self._read_bulk(index, reply[1]):
-                groups[result.name] = result
-        return groups
-
-    def _result(self, wall: float, groups: Dict[str, Any], epoch: int):
-        from repro.scale.runner import ScenarioResult
-
-        return ScenarioResult(
-            name=self.spec.name,
-            workers=self.plan.workers,
-            wall_seconds=wall,
-            groups=groups,
-            plan=self.plan,
-            transport=dict(self._transport, epoch_slots=epoch),
-            telemetry=self.telemetry if self.spec.obs.enabled else None,
+    def _recover(
+        self, index: int, failure: WorkerFailure, done: int
+    ) -> None:
+        """Kill, back off, respawn, fast-forward — or declare exhaustion."""
+        self._failures.append(
+            {
+                "worker": index,
+                "kind": failure.kind,
+                "confirmed_slots": done,
+                "detail": failure.detail,
+            }
         )
+        if self.restarts[index] >= self.supervisor.max_restarts_per_worker:
+            raise ShardRecoveryExhausted(
+                worker=index,
+                shard_groups=list(self.plan.shards[index]),
+                restarts=self.restarts[index],
+                failures=[
+                    entry
+                    for entry in self._failures
+                    if entry["worker"] == index
+                ],
+                partial=self._partial_collect(exclude=index),
+            )
+        backoff = (
+            self.supervisor.backoff_base_s
+            * self.supervisor.backoff_factor ** self.restarts[index]
+        )
+        if backoff:
+            time.sleep(backoff)
+        self._respawn(index, replay_slots=done)
+
+    def _respawn(self, index: int, replay_slots: int) -> None:
+        """Replace worker ``index`` with a fast-forwarded twin."""
+        try:
+            self._connections[index].close()
+        except OSError:  # pragma: no cover - already broken
+            pass
+        _stop_process(self._processes[index], graceful=False)
+        self._rings[index].reset()
+        self._acked[index] = 0
+        parent, process = self._spawn_worker(
+            index, replay_slots=replay_slots, chaos_armed=False
+        )
+        # In-place replacement: the weakref finalizer holds this very
+        # list, so the backstop always sees the current processes.
+        self._connections[index] = parent
+        self._processes[index] = process
+        self.restarts[index] += 1
+        replayed = replay_slots * len(self.plan.shards[index])
+        self._replayed_slots += replayed
+        worker_label = str(index)
+        self.metrics.counter(
+            RESTARTS_METRIC,
+            "pool workers respawned by the scale-out supervisor",
+            labels=("worker",),
+        ).labels(worker_label).inc()
+        if replayed:
+            self.metrics.counter(
+                REPLAYED_SLOTS_METRIC,
+                "group-slots replayed to fast-forward replacement workers",
+                labels=("worker",),
+            ).labels(worker_label).inc(replayed)
+        self.telemetry.note_worker_restart(index)
+
+    def _partial_collect(self, exclude: int) -> Dict[str, Any]:
+        """Scavenge group results from the still-healthy workers.
+
+        Best-effort and bounded by the policy's barrier deadline:
+        survivors may have one in-flight reply queued ahead of the
+        collect answer (they may even be a partial epoch *ahead* of the
+        last confirmed barrier — stated as-is in the result's
+        ``slots``); anything that fails or times out is simply skipped.
+        """
+        partial: Dict[str, Any] = {}
+        for index in range(len(self._connections)):
+            if index == exclude or not self._processes[index].is_alive():
+                continue
+            try:
+                self._connections[index].send(
+                    ("collect", self._acked[index])
+                )
+                deadline = (
+                    time.monotonic() + self.supervisor.barrier_timeout_s
+                )
+                for _ in range(2):  # a stale reply, then the answer
+                    reply = self._recv_deadline(
+                        index, deadline - time.monotonic()
+                    )
+                    if (
+                        isinstance(reply, tuple)
+                        and len(reply) == 3
+                        and reply[0] == "result"
+                    ):
+                        for result in self._read_bulk(index, reply[1]):
+                            partial[result.name] = result
+                        break
+            except (WorkerFailure, RuntimeError, OSError, ArenaFrameError):
+                continue
+        return partial
 
     # -- incremental drive (the live control plane's view of a run) ----------
 
@@ -648,11 +909,26 @@ class WorkerPool:
         ``run()`` is ``begin()`` + ``advance_epoch()`` to the horizon +
         ``collect()``; a live service drives the same three stages
         itself so it can interleave barriers with control traffic —
-        :meth:`mutate` between epochs, :meth:`collect` mid-run.
+        :meth:`mutate` between epochs, :meth:`collect` mid-run.  A
+        worker lost since the previous run is respawned at the reset
+        barrier and counts as this run's restart.
         """
         self.start()
-        self._begin_run()
+        self.telemetry = self._new_stream()
+        self._transport = {
+            "arena_payloads": 0,
+            "arena_bytes": 0,
+            "pipe_fallback_payloads": 0,
+            "epochs": 0,
+        }
+        self.restarts = [0] * len(self._connections)
+        self._failures = []
+        self._replayed_slots = 0
         self._done = 0
+        if self._dirty:
+            self._barrier(lambda i: ("reset", self._acked[i]))
+            self._acked = [0] * len(self._acked)
+        self._dirty = True
         self._run_started = time.perf_counter()
         return self
 
@@ -668,46 +944,55 @@ class WorkerPool:
         epoch = self.spec.effective_epoch_slots()
         step = min(epoch, self.spec.slots - self._done)
         final = self._done + step >= self.spec.slots
-        payloads = self._epoch_barrier(step, final, self._done)
+        shipped = self._barrier(
+            lambda i: ("epoch", step, final, self._acked[i])
+        )
+        payloads = [
+            payload for worker in shipped if worker for payload in worker
+        ]
         if payloads:
             self.telemetry.fold_epoch(payloads)
         self._done += step
         self._transport["epochs"] += 1
         return self._done >= self.spec.slots
 
-    def collect(self):
+    def collect(self) -> ScenarioResult:
         """Summarize every group as of the last barrier (mid-run safe).
 
         Workers summarize without disturbing state, so a mid-run
         collect observes the confirmed prefix — its digest matches a
         from-scratch run of the same spec truncated to :attr:`done`
-        slots — and the run then continues to the horizon.
+        slots — and the run then continues to the horizon.  A worker
+        recovered here replays the confirmed prefix, never slots nobody
+        has run yet.
         """
-        groups = self._collect_results()
-        wall = time.perf_counter() - self._run_started
-        return self._result(wall, groups, self.spec.effective_epoch_slots())
-
-    # -- live mutation -------------------------------------------------------
-
-    def _mutate_command(self, index: int, rebuild: List[str]) -> Tuple:
-        return (
-            "mutate",
-            self._spec_dict,
-            list(self.plan.shards[index]),
-            list(rebuild),
-            self._done,
-            self._acked[index],
+        shipped = self._barrier(lambda i: ("collect", self._acked[i]))
+        groups = {
+            result.name: result for results in shipped for result in results
+        }
+        return ScenarioResult(
+            name=self.spec.name,
+            workers=self.plan.workers,
+            wall_seconds=time.perf_counter() - self._run_started,
+            groups=groups,
+            plan=self.plan,
+            transport=dict(
+                self._transport, epoch_slots=self.spec.effective_epoch_slots()
+            ),
+            telemetry=self.telemetry if self.spec.obs.enabled else None,
+            recovery={
+                "restarts": {
+                    str(index): count
+                    for index, count in enumerate(self.restarts)
+                    if count
+                },
+                "total_restarts": sum(self.restarts),
+                "replayed_slots": self._replayed_slots,
+                "failures": list(self._failures),
+            },
         )
 
-    def _mutate_exchange(self, rebuild: List[str]) -> None:
-        for index in range(len(self._connections)):
-            self._send(index, self._mutate_command(index, rebuild))
-        for index in range(len(self._connections)):
-            reply = self._recv(index)
-            if reply[0] != "ok":
-                raise RuntimeError(
-                    f"scale worker protocol error: {reply!r}"
-                )
+    # -- live mutation -------------------------------------------------------
 
     def mutate(self, new_spec: ScenarioSpec) -> Dict[str, Any]:
         """Rebase the live run onto a mutated spec (rebase semantics).
@@ -724,7 +1009,9 @@ class WorkerPool:
         build of every disturbed group) happens *before* any worker is
         told anything, so a rejected mutation raises with the run
         untouched.  Call between epochs only — the mutation lands at
-        the next barrier.
+        the next barrier.  The coordinator commits the mutated spec and
+        plan before the barrier, so a worker respawned during it is
+        built from the mutated spec.
         """
         if not self._started or self._closed:
             raise RuntimeError("mutate() needs a started, open pool")
@@ -752,17 +1039,26 @@ class WorkerPool:
         self.plan = rebalance_plan(self.plan, new_spec)
         self.spec = new_spec
         self._spec_dict = new_spec.to_dict()
-        self._mutate_exchange(rebuild)
+        self._barrier(
+            lambda i: (
+                "mutate",
+                self._spec_dict,
+                list(self.plan.shards[i]),
+                list(rebuild),
+                self._done,
+                self._acked[i],
+            )
+        )
         return outcome
 
     # -- batch execution -----------------------------------------------------
 
-    def run(self):
+    def run(self) -> ScenarioResult:
         """Execute the spec's horizon once; see module docstring.
 
-        Any error — a worker crash, a protocol violation, a coordinator
-        exception between barriers — closes the pool (workers joined,
-        segment unlinked) before propagating.
+        Any error — an exhausted restart budget, a worker's error
+        reply, a coordinator exception between barriers — closes the
+        pool (workers joined, segment unlinked) before propagating.
         """
         try:
             self.begin()
@@ -775,4 +1071,15 @@ class WorkerPool:
         return result
 
 
-__all__ = ["DEFAULT_ARENA_BYTES", "JOIN_TIMEOUT_S", "WorkerPool"]
+__all__ = [
+    "DEFAULT_ARENA_BYTES",
+    "FAILURE_KINDS",
+    "FAIL_FAST",
+    "JOIN_TIMEOUT_S",
+    "REPLAYED_SLOTS_METRIC",
+    "RESTARTS_METRIC",
+    "ShardRecoveryExhausted",
+    "WorkerFailure",
+    "WorkerPool",
+    "supervision_policy",
+]

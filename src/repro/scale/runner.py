@@ -33,7 +33,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.conformance import ConformanceReport
 from repro.obs.exposition import render_prometheus
@@ -102,9 +102,9 @@ class ScenarioResult:
     #: for bit — ``collect()`` is a consumer of the stream, not a second
     #: source of truth.  Never part of the digest.
     telemetry: Optional[TelemetryStream] = None
-    #: Supervised-pool recovery accounting: worker restart counts,
-    #: replayed slots, and the failure log (empty for unsupervised or
-    #: healthy runs).  Wall-clock territory — never part of the digest.
+    #: Pool recovery accounting: worker restart counts, replayed slots,
+    #: and the failure log (empty for single-process runs).  Wall-clock
+    #: territory — never part of the digest.
     recovery: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -272,6 +272,44 @@ def _step_groups(groups: List[BuiltGroup], n_slots: int) -> int:
     return events
 
 
+def _make_sources(
+    spec: ScenarioSpec, groups: List[BuiltGroup], shard: int
+) -> List[GroupStreamSource]:
+    """One telemetry source per group, or none when the spec's obs is off."""
+    if not spec.obs.enabled:
+        return []
+    return [
+        GroupStreamSource(group, shard=shard, stream=spec.obs.stream)
+        for group in groups
+    ]
+
+
+def _step_epochs(
+    spec: ScenarioSpec,
+    groups: List[BuiltGroup],
+    sources: List[GroupStreamSource],
+    start: int,
+    stop: int,
+) -> Iterator[List[Any]]:
+    """Step ``groups`` from slot ``start`` to ``stop`` at the spec's cadence.
+
+    Yields each epoch's telemetry payloads, one per source, as the pool
+    barrier would ship them; the horizon's last epoch carries cumulative
+    snapshots.  The single-process path folds them; a worker's replay
+    discards them, because the coordinator already folded the originals.
+    """
+    cadence = spec.effective_epoch_slots()
+    done = start
+    while done < stop:
+        step = min(cadence, stop - done)
+        _step_groups(groups, step)
+        done += step
+        yield [
+            source.epoch_payload(final=done >= spec.slots)
+            for source in sources
+        ]
+
+
 def run_groups_inline(
     spec: ScenarioSpec,
     names: Optional[List[str]] = None,
@@ -287,25 +325,10 @@ def run_groups_inline(
     """
     groups = build_groups(spec, names)
     _attach_engines(groups)
-    sources: List[GroupStreamSource] = []
-    if telemetry is not None and spec.obs.enabled:
-        sources = [
-            GroupStreamSource(group, shard=0, stream=spec.obs.stream)
-            for group in groups
-        ]
-    epoch = spec.effective_epoch_slots()
-    done = 0
-    while done < spec.slots:
-        step = min(epoch, spec.slots - done)
-        _step_groups(groups, step)
-        done += step
-        if sources:
-            telemetry.fold_epoch(
-                [
-                    source.epoch_payload(final=done >= spec.slots)
-                    for source in sources
-                ]
-            )
+    sources = _make_sources(spec, groups, 0) if telemetry is not None else []
+    for payloads in _step_epochs(spec, groups, sources, 0, spec.slots):
+        if payloads:
+            telemetry.fold_epoch(payloads)
     return [_summarize_group(group) for group in groups]
 
 
@@ -357,13 +380,10 @@ def run_scenario(
             telemetry=telemetry,
         )
 
-    if spec.supervised():
-        from repro.scale.supervisor import SupervisedWorkerPool as pool_cls
-    else:
-        from repro.scale.pool import WorkerPool as pool_cls
+    from repro.scale.pool import WorkerPool
 
     started = time.perf_counter()
-    with pool_cls(spec, workers, bus=bus, tail=tail) as pool:
+    with WorkerPool(spec, workers, bus=bus, tail=tail) as pool:
         result = pool.run()
     result.wall_seconds = time.perf_counter() - started
     return result

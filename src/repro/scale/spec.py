@@ -242,14 +242,20 @@ class ObsSpec:
 
 @dataclass(frozen=True)
 class SupervisorSpec:
-    """Self-healing policy for the supervised worker pool.
+    """Supervision policy for the worker pool's barrier.
+
+    A spec without one runs under
+    :func:`~repro.scale.pool.supervision_policy`'s choice: these
+    defaults when it carries ``process_chaos``, otherwise
+    :data:`~repro.scale.pool.FAIL_FAST` (an infinite deadline and a
+    zero restart budget).
 
     ``barrier_timeout_s`` bounds how long the coordinator waits on any
     one worker's barrier reply before declaring it hung (the poll loop
     also notices a crashed worker much sooner, via ``is_alive``).
     ``max_restarts_per_worker`` caps recovery attempts per shard within
     one run; exceeding it raises
-    :class:`~repro.scale.supervisor.ShardRecoveryExhausted` instead of
+    :class:`~repro.scale.pool.ShardRecoveryExhausted` instead of
     retrying forever.  Respawn attempts back off geometrically
     (``backoff_base_s * backoff_factor ** restarts_so_far``).
     """
@@ -434,12 +440,6 @@ class ScenarioSpec:
             ProcessChaosSpec.from_dict(dict(entry))
             for entry in self.process_chaos
         )
-
-    def supervised(self) -> bool:
-        """Should a sharded run use the self-healing pool?  Explicitly
-        configured supervision, or any chaos injection (an unsupervised
-        chaos run would just crash)."""
-        return self.supervisor is not None or bool(self.process_chaos)
 
     # -- serialization ---------------------------------------------------------
 

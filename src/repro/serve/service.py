@@ -271,7 +271,7 @@ class ServeService:
             "slots": result.slots,
             "workers": result.workers,
             "groups": sorted(result.groups),
-            "recovery": getattr(result, "recovery", None),
+            "recovery": result.recovery,
         }
 
     async def _op_shutdown(self, session, request) -> Dict[str, Any]:

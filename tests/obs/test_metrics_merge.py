@@ -127,3 +127,22 @@ def test_empty_snapshot_is_noop():
     registry = MetricsRegistry()
     registry.merge_snapshot({})
     assert len(registry) == 0
+
+
+def test_registered_but_unobserved_histogram_merges_in_any_order():
+    """A labelled histogram one shard registered but never observed (a
+    cell with an empty chain books no per-stage time) must not poison
+    the merge for a shard that did observe it."""
+    idle = MetricsRegistry()
+    idle.histogram("stage_ns", "per stage", labels=("stage",))
+    busy = MetricsRegistry()
+    busy.histogram("stage_ns", "per stage", labels=("stage",)).labels(
+        "das"
+    ).observe(300.0)
+    forward = MetricsRegistry()
+    forward.merge_snapshot(idle.snapshot())
+    forward.merge_snapshot(busy.snapshot())
+    backward = MetricsRegistry()
+    backward.merge_snapshot(busy.snapshot())
+    backward.merge_snapshot(idle.snapshot())
+    assert forward.snapshot() == backward.snapshot() == busy.snapshot()

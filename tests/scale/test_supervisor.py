@@ -10,14 +10,15 @@ from multiprocessing import shared_memory
 from repro.obs.slo import OBJECTIVES
 from repro.scale import (
     ScenarioSpec,
-    SupervisedWorkerPool,
     SupervisorSpec,
+    WorkerPool,
     run_scenario,
 )
-from repro.scale.pool import _env_join_timeout
-from repro.scale.supervisor import (
+from repro.scale.pool import (
     RESTARTS_METRIC,
     ShardRecoveryExhausted,
+    _env_join_timeout,
+    supervision_policy,
 )
 
 #: Tight supervision so failure tests conclude in seconds, not minutes.
@@ -130,7 +131,7 @@ def test_external_sigkill_mid_run_recovers():
     detected at the next barrier and replaced."""
     spec = _spec(chaos=())
     reference = _reference()
-    with SupervisedWorkerPool(spec, workers=2) as pool:
+    with WorkerPool(spec, workers=2) as pool:
         os.kill(pool._processes[0].pid, signal.SIGKILL)
         result = pool.run()
     assert result.digest == reference.digest
@@ -141,13 +142,30 @@ def test_external_sigkill_mid_run_recovers():
 def test_pool_reuse_after_recovery():
     """A pool that healed once serves later runs with clean state."""
     spec = _spec(chaos=())
-    with SupervisedWorkerPool(spec, workers=2) as pool:
+    with WorkerPool(spec, workers=2) as pool:
         os.kill(pool._processes[1].pid, signal.SIGKILL)
         first = pool.run()
         second = pool.run()
     assert first.recovery["total_restarts"] == 1
     assert second.recovery["total_restarts"] == 0
     assert first.digest == second.digest
+
+
+def test_worker_lost_between_runs_heals_at_reset():
+    """A worker that dies *between* runs is respawned at the next run's
+    reset barrier: reset goes through the same supervised barrier as
+    every other command, so the rerun heals instead of failing."""
+    spec = _spec(chaos=())
+    reference = _reference()
+    with WorkerPool(spec, workers=2) as pool:
+        first = pool.run()
+        victim = pool._processes[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10.0)
+        second = pool.run()
+    assert first.digest == reference.digest
+    assert second.digest == first.digest
+    assert second.recovery["total_restarts"] == 1
 
 
 def test_recovery_surfaces_in_obs_plane():
@@ -158,7 +176,7 @@ def test_recovery_surfaces_in_obs_plane():
     slo = [{"name": "restart-burn", "objective": "worker_restarts",
             "threshold": 1.0, "window_epochs": 4}]
     spec = _spec(chaos=chaos, slo=slo)
-    with SupervisedWorkerPool(spec, workers=2) as pool:
+    with WorkerPool(spec, workers=2) as pool:
         result = pool.run()
         snapshot = pool.metrics.snapshot()
     assert RESTARTS_METRIC in snapshot
@@ -174,7 +192,7 @@ def test_budget_exhaustion_fails_typed_bounded_and_clean():
     chaos = [{"kind": "kill", "epoch": 1, "group": "left", "rearm": True}]
     supervisor = dict(FAST_SUPERVISOR, max_restarts_per_worker=1)
     spec = _spec(chaos=chaos, supervisor=supervisor, obs=False)
-    pool = SupervisedWorkerPool(spec, workers=2)
+    pool = WorkerPool(spec, workers=2)
     pool.start()
     segment = pool.arena_name
     started = time.monotonic()
@@ -239,7 +257,7 @@ def test_unsupervised_spec_with_chaos_routes_to_supervised_pool():
     chaos = [{"kind": "kill", "epoch": 0, "group": "right"}]
     data = _spec_dict(chaos=chaos, supervisor=None)
     spec = ScenarioSpec.from_dict(data)
-    assert spec.supervised()
+    assert supervision_policy(spec).max_restarts_per_worker > 0
     result = run_scenario(spec, workers=2)
     assert result.recovery["total_restarts"] >= 1
     assert result.digest == _reference().digest
