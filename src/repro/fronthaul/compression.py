@@ -14,16 +14,23 @@ per-packet constant cost of the paper's C implementation (Figure 15b).
 Because a PRB holds 24 mantissas and ``24 * width`` is always a multiple
 of 8, every PRB's mantissa block is exactly ``3 * width`` bytes and the
 whole payload is one strided ``(n_prbs, 1 + 3 * width)`` byte grid — no
-per-PRB Python loop anywhere:
+per-PRB Python loop anywhere, and no bit-per-element tensor either:
 
-- packing left-aligns each mantissa in a big-endian 16-bit word, unpacks
-  those words to bits once, keeps the top ``width`` bits of each, and
-  packs the result once (:func:`_pack_mantissas`);
-- unpacking gathers the (at most) 3 bytes covering each mantissa into a
-  32-bit word and extracts it with one shift pair that also
-  sign-extends (:func:`_unpack_mantissas`);
+- packing left-aligns each mantissa at bit 31 of a uint32 and builds
+  each output byte as the OR of the at most ``ceil(8 / width) + 1``
+  shifted mantissas that cover it, one row gather and one shift per
+  depth of a cached per-width scatter plan (:func:`_pack_mantissas`);
+- unpacking gathers the 4 bytes ``[b0, b1, b2, b2]`` covering each
+  mantissa, reads them as one big-endian 32-bit word and extracts the
+  mantissa with one shift pair that also sign-extends
+  (:func:`_unpack_mantissas`);
 - the exponent search is an exact integer OR-reduction per PRB
   (:func:`_exact_bits_needed`).
+
+Every PRB is compressed on its own, so compressing a stack of payloads
+gives their concatenated wire bytes, and a PRB range of a payload is the
+matching byte slice.  The DU and RU rely on this to compress a whole
+slot in one pass.
 
 Repeated identical payloads (RU sharing re-parses the same full-band
 uplink packet once per DU) hit a small LRU parse memo instead of
@@ -217,51 +224,98 @@ def _sign_extend(values: np.ndarray, width: int) -> np.ndarray:
     return signed
 
 
+@functools.lru_cache(maxsize=None)
+def _scatter_plan(width: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """Per-depth mantissa indices and right shifts that build each byte.
+
+    Byte ``j`` of a PRB block holds bits ``[8j, 8j + 8)``, which come from
+    the mantissas ``8j // width`` through ``(8j + 7) // width`` — at most
+    ``ceil(8 / width) + 1`` of them.  Depth ``d`` gives every byte its
+    ``d``-th covering mantissa and the right shift that moves that
+    mantissa's bits, left-aligned at bit 31 of a uint32, into the byte's
+    low 8 bits.  Bytes with fewer covering mantissas read index 24, the
+    work array's zero pad row.
+    """
+    byte_start = np.arange(3 * width) * 8
+    first = byte_start // width
+    last = (byte_start + 7) // width
+    plan = []
+    for depth in range(int((last - first).max()) + 1):
+        index = first + depth
+        covers = index <= last
+        shift = np.where(covers, 24 + index * width - byte_start, 0)
+        plan.append(
+            (
+                _freeze(np.where(covers, index, 2 * SAMPLES_PER_PRB)),
+                _freeze(shift.astype(np.uint32)[:, None]),
+            )
+        )
+    return tuple(plan)
+
+
 def _pack_mantissas(mantissas: np.ndarray, width: int) -> np.ndarray:
     """Pack signed ``width``-bit mantissas of shape (n, 24), MSB first.
 
-    Each mantissa is left-aligned in a big-endian 16-bit word, so its
-    two's-complement bits are the word's top ``width`` bits; one
-    ``np.unpackbits`` over the words, a slice, and one ``np.packbits``
-    give the ``(n, 3 * width)`` wire blocks.  Accepts any integer dtype
-    and memory layout (the merge path passes strided views).
+    The mantissas go, transposed, into a ``(25, n)`` uint32 work array,
+    each left-aligned at bit 31 (the shift drops its sign-extension bits)
+    above one zero pad row.  Each of the ``3 * width`` output bytes is
+    then the OR of its :func:`_scatter_plan` pieces: per depth, one row
+    gather and one per-row right shift; one cast keeps the low byte.
+    Working transposed makes every gather a copy of whole rows.  Accepts
+    any integer dtype and memory layout (the merge path passes strided
+    views) and returns the ``(n, 3 * width)`` wire blocks.
     """
-    n_prbs, n_mantissas = mantissas.shape
-    aligned = mantissas.astype(np.int16, copy=False) << (16 - width)
-    words = aligned.astype(">i2", order="C")
-    bits = np.unpackbits(words.view(np.uint8), axis=1)
-    bits = bits.reshape(n_prbs, n_mantissas, 16)[:, :, :width]
-    return np.packbits(bits.reshape(n_prbs, n_mantissas * width), axis=1)
+    work = np.empty((2 * SAMPLES_PER_PRB + 1, len(mantissas)), dtype=np.uint32)
+    work[-1] = 0
+    work[:-1] = mantissas.T
+    work <<= np.uint32(32 - width)
+    packed = None
+    for index, shift in _scatter_plan(width):
+        piece = work[index]
+        piece >>= shift
+        if packed is None:
+            packed = piece
+        else:
+            packed |= piece
+    return packed.astype(np.uint8).T
 
 
 @functools.lru_cache(maxsize=None)
-def _gather_plan(width: int) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    """Per-mantissa byte indices and left shifts for one width.
+def _gather_plan(width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-mantissa byte indices ``[b0, b1, b2, b2]`` and left shifts.
 
     Mantissa ``i`` starts at bit ``i * width`` of its PRB block and, as
     ``width <= 16``, lies within the 3 bytes from there.  Indices past
-    the block are clamped: such a byte holds only bits below the
-    mantissa, which the final right shift discards.
+    the block are clamped, and the fourth byte repeats the third: such
+    bytes hold only bits below the mantissa, which the final right shift
+    discards.
     """
     starts = np.arange(2 * SAMPLES_PER_PRB) * width
     first = starts // 8
     last = 3 * width - 1
-    cover = tuple(_freeze(np.minimum(first + k, last)) for k in range(3))
-    return cover, _freeze((8 + starts % 8).astype(np.uint32))
+    cover = np.minimum(first[:, None] + np.array([0, 1, 2, 2]), last)
+    return _freeze(cover.reshape(-1)), _freeze((starts % 8).astype(np.uint32))
 
 
 def _unpack_mantissas(blocks: np.ndarray, width: int) -> np.ndarray:
     """Inverse of :func:`_pack_mantissas`: int32 mantissas of shape (n, 24).
 
-    The 3 bytes covering each mantissa form a 24-bit word; shifting it
-    left puts the mantissa's MSB at bit 31 of an int32, and an
-    arithmetic right shift by ``32 - width`` extracts and sign-extends
-    it in one step.
+    One gather lays the 4 bytes covering each mantissa side by side, so
+    the result read as big-endian uint32 holds one word per mantissa.
+    Shifting it left by the mantissa's bit offset puts its MSB at bit 31
+    of an int32, and an arithmetic right shift by ``32 - width``
+    extracts and sign-extends it in one step.
     """
-    (b0, b1, b2), lshift = _gather_plan(width)
-    wide = blocks.astype(np.uint32)
-    words = (wide[:, b0] << 16) | (wide[:, b1] << 8) | wide[:, b2]
+    cover, lshift = _gather_plan(width)
+    words = np.ascontiguousarray(blocks[:, cover]).view(">u4")
     return (words << lshift).view(np.int32) >> np.int32(32 - width)
+
+
+def _shift_restore(exponents, mantissas, dtype) -> np.ndarray:
+    """``mantissas << exponents`` per PRB in ``dtype``, saturated to int16."""
+    exps = np.asarray(exponents, dtype=dtype)
+    restored = np.asarray(mantissas, dtype=dtype) << exps[:, None]
+    return np.clip(restored, -32768, 32767).astype(np.int16)
 
 
 def _int_samples(samples) -> np.ndarray:
@@ -335,10 +389,7 @@ class BfpCompressor:
         self, exponents: np.ndarray, mantissas: np.ndarray
     ) -> np.ndarray:
         """Restore int16 samples from (exponents, mantissas)."""
-        exps = np.asarray(exponents, dtype=np.int64)
-        mants = np.asarray(mantissas, dtype=np.int64)
-        restored = mants << exps[:, None]
-        return np.clip(restored, -32768, 32767).astype(np.int16)
+        return _shift_restore(exponents, mantissas, np.int64)
 
     # -- wire-level API ----------------------------------------------------
 
@@ -369,7 +420,9 @@ class BfpCompressor:
             flat = np.frombuffer(payload[:expected], dtype=">i2")
             return flat.reshape(n_prbs, 2 * SAMPLES_PER_PRB).astype(np.int16)
         exponents, mantissas = self.parse_wire(payload, n_prbs)
-        return self.decompress_array(exponents, mantissas)
+        # Parsed mantissas fit 16 bits and exponents 4, so int32 holds
+        # every shifted sample.
+        return _shift_restore(exponents, mantissas, np.int32)
 
     def decompress_stack(self, payloads, n_prbs: int) -> np.ndarray:
         """Decompress N equal-length payloads in one codec pass.

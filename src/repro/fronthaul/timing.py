@@ -9,6 +9,7 @@ on it, so the timing model is shared by the DU, RU, and middlebox layers.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -159,6 +160,36 @@ class TddPattern:
         if kind is SlotType.SPECIAL:
             return symbol >= SYMBOLS_PER_SLOT - self.special_ul_symbols
         return False
+
+    def downlink_symbols(self, absolute_slot: int) -> Tuple[int, ...]:
+        """The slot's downlink symbols, ascending."""
+        return self._symbol_tables[0][absolute_slot % len(self.pattern)]
+
+    def uplink_symbols(self, absolute_slot: int) -> Tuple[int, ...]:
+        """The slot's uplink symbols, ascending."""
+        return self._symbol_tables[1][absolute_slot % len(self.pattern)]
+
+    @functools.cached_property
+    def _symbol_tables(
+        self,
+    ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+        """Per pattern position, the downlink and the uplink symbols.
+
+        Built once per pattern from :meth:`is_downlink_symbol` and
+        :meth:`is_uplink_symbol`, which stay the definition; the DU and
+        the MAC scheduler ask for them every slot.
+        """
+        positions = range(len(self.pattern))
+        symbols = range(SYMBOLS_PER_SLOT)
+        downlink = tuple(
+            tuple(s for s in symbols if self.is_downlink_symbol(slot, s))
+            for slot in positions
+        )
+        uplink = tuple(
+            tuple(s for s in symbols if self.is_uplink_symbol(slot, s))
+            for slot in positions
+        )
+        return downlink, uplink
 
     def downlink_symbol_fraction(self) -> float:
         """Fraction of all symbols usable for downlink over one period."""

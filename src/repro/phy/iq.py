@@ -26,20 +26,28 @@ def iq_to_int16(samples: np.ndarray, backoff: float = 0.25) -> np.ndarray:
 
     ``backoff`` leaves headroom below full scale (real DUs run several dB
     below clipping); interleaving is I0,Q0,I1,Q1,... per PRB as on the wire.
+    A C-contiguous complex array already stores its samples as
+    interleaved (re, im) float pairs, so the conversion is one scale of
+    that view plus in-place rounding and saturation; scaling each
+    component by a real factor is exactly what the complex product does.
     """
     complex_grid = np.asarray(samples)
-    if complex_grid.shape[-1] % SAMPLES_PER_PRB:
+    complex_grid = np.ascontiguousarray(
+        complex_grid, dtype=np.result_type(complex_grid, 1j)
+    )
+    *lead, n_sc = complex_grid.shape
+    if n_sc % SAMPLES_PER_PRB:
         raise ValueError(
-            f"subcarrier count {complex_grid.shape[-1]} is not a whole "
-            "number of PRBs"
+            f"subcarrier count {n_sc} is not a whole number of PRBs"
         )
-    n_prbs = complex_grid.shape[-1] // SAMPLES_PER_PRB
-    scaled = complex_grid * (INT16_SCALE * backoff)
-    interleaved = np.empty(complex_grid.shape[:-1] + (n_prbs, 2 * SAMPLES_PER_PRB))
-    reshaped = scaled.reshape(complex_grid.shape[:-1] + (n_prbs, SAMPLES_PER_PRB))
-    interleaved[..., 0::2] = reshaped.real
-    interleaved[..., 1::2] = reshaped.imag
-    return np.clip(np.round(interleaved), -32768, 32767).astype(np.int16)
+    pairs = complex_grid.view(complex_grid.real.dtype)
+    scaled = pairs * (INT16_SCALE * backoff)
+    scaled = scaled.reshape(
+        (*lead, n_sc // SAMPLES_PER_PRB, 2 * SAMPLES_PER_PRB)
+    )
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    return scaled.astype(np.int16)
 
 
 def int16_to_iq(samples: np.ndarray, backoff: float = 0.25) -> np.ndarray:

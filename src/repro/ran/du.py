@@ -13,17 +13,18 @@ port only (the property the dMIMO middlebox's SSB replication fixes).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fronthaul.compression import SAMPLES_PER_PRB
+from repro.fronthaul.compression import SAMPLES_PER_PRB, codec_for
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction, SectionType
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket, make_packet
-from repro.fronthaul.timing import SYMBOLS_PER_SLOT, SlotClock, SymbolTime
+from repro.fronthaul.timing import SlotClock, SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.phy.iq import QamModulator, iq_to_int16
 from repro.ran.cell import CellConfig
@@ -169,21 +170,11 @@ class DistributedUnit:
         self._seq[eaxc_int] = (seq + 1) % 256
         return seq
 
-    def _dl_symbols(self, absolute_slot: int) -> List[int]:
-        tdd = self.profile.tdd
-        return [
-            s
-            for s in range(SYMBOLS_PER_SLOT)
-            if tdd.is_downlink_symbol(absolute_slot, s)
-        ]
+    def _dl_symbols(self, absolute_slot: int) -> Tuple[int, ...]:
+        return self.profile.tdd.downlink_symbols(absolute_slot)
 
-    def _ul_symbols(self, absolute_slot: int) -> List[int]:
-        tdd = self.profile.tdd
-        return [
-            s
-            for s in range(SYMBOLS_PER_SLOT)
-            if tdd.is_uplink_symbol(absolute_slot, s)
-        ]
+    def _ul_symbols(self, absolute_slot: int) -> Tuple[int, ...]:
+        return self.profile.tdd.uplink_symbols(absolute_slot)
 
     def _build_dl_cplane(
         self,
@@ -309,27 +300,38 @@ class DistributedUnit:
                 symbols = symbols[: self.symbols_per_slot]
         if not allocations and not is_ssb_slot:
             return []
+        # Fill the slot's (symbol, port) grids in emission order, which is
+        # the order of the RNG draws, then convert and compress them in one
+        # pass; each packet's payload is its byte slice.
+        streams = list(itertools.product(symbols, range(self.cell.n_antennas)))
+        n_prb = self.cell.num_prb
+        grids = np.empty((len(streams), n_prb * SAMPLES_PER_PRB), np.complex128)
+        for row, (symbol, port) in enumerate(streams):
+            grids[row] = self._symbol_grid(allocations, port, symbol, is_ssb_slot)
+        samples = iq_to_int16(grids, backoff=DL_FIXED_POINT_BACKOFF)
+        payload = codec_for(self.compression).compress(
+            samples.reshape(-1, 2 * SAMPLES_PER_PRB)
+        )
+        row_bytes = n_prb * self.compression.prb_payload_bytes()
         packets = []
-        for symbol in symbols:
+        for row, (symbol, port) in enumerate(streams):
             time = SymbolTime(
                 slot_time.frame, slot_time.subframe, slot_time.slot, symbol
             )
-            for port in range(self.cell.n_antennas):
-                grid = self._symbol_grid(allocations, port, symbol, is_ssb_slot)
-                section = UPlaneSection.from_samples(
-                    section_id=self.du_id % 4096,
-                    start_prb=0,
-                    samples=grid,
-                    compression=self.compression,
-                )
-                message = UPlaneMessage(
-                    direction=Direction.DOWNLINK, time=time, sections=[section]
-                )
-                eaxc = EAxCId(du_port=self.du_id, ru_port=port)
-                packet = self._emit(message, eaxc, uplane=True)
-                if self.record_reference:
-                    self.dl_reference[(time, port)] = grid
-                packets.append(packet)
+            section = UPlaneSection(
+                section_id=self.du_id % 4096,
+                start_prb=0,
+                num_prb=n_prb,
+                payload=payload[row * row_bytes : (row + 1) * row_bytes],
+                compression=self.compression,
+            )
+            message = UPlaneMessage(
+                direction=Direction.DOWNLINK, time=time, sections=[section]
+            )
+            eaxc = EAxCId(du_port=self.du_id, ru_port=port)
+            packets.append(self._emit(message, eaxc, uplane=True))
+            if self.record_reference:
+                self.dl_reference[(time, port)] = samples[row]
         return packets
 
     def _symbol_grid(
@@ -339,13 +341,10 @@ class DistributedUnit:
         symbol: int,
         is_ssb_slot: bool,
     ) -> np.ndarray:
-        """Build one symbol's int16 grid for one antenna port."""
-        n_prb = self.cell.num_prb
-        n_sc = n_prb * SAMPLES_PER_PRB
-        complex_grid = (
-            self.rng.normal(0, IDLE_PRB_AMPLITUDE, n_sc)
-            + 1j * self.rng.normal(0, IDLE_PRB_AMPLITUDE, n_sc)
-        )
+        """Build one symbol's complex grid for one antenna port."""
+        n_sc = self.cell.num_prb * SAMPLES_PER_PRB
+        noise = self.rng.normal(0, IDLE_PRB_AMPLITUDE, (2, n_sc))
+        complex_grid = noise[0] + 1j * noise[1]
         for allocation in allocations:
             if port >= allocation.layers:
                 continue
@@ -360,7 +359,7 @@ class DistributedUnit:
             start = ssb_start * SAMPLES_PER_PRB
             count = (ssb_end - ssb_start) * SAMPLES_PER_PRB
             complex_grid[start : start + count] = self._ssb_waveform(count)
-        return iq_to_int16(complex_grid, backoff=DL_FIXED_POINT_BACKOFF)
+        return complex_grid
 
     def _ssb_waveform(self, n_samples: int) -> np.ndarray:
         """Deterministic PSS/SSS-like sequence derived from the PCI.

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.fronthaul.cplane import Direction
-from repro.fronthaul.timing import SYMBOLS_PER_SLOT
 from repro.ran.cell import CellConfig
 from repro.ran.stacks import SRSRAN, VendorProfile
 
@@ -138,17 +137,9 @@ class MacScheduler:
 
     def _data_symbols(self, direction: Direction, absolute_slot: int) -> int:
         tdd = self.profile.tdd
-        counter = 0
-        for symbol in range(SYMBOLS_PER_SLOT):
-            if direction is Direction.DOWNLINK and tdd.is_downlink_symbol(
-                absolute_slot, symbol
-            ):
-                counter += 1
-            if direction is Direction.UPLINK and tdd.is_uplink_symbol(
-                absolute_slot, symbol
-            ):
-                counter += 1
-        return counter
+        if direction is Direction.DOWNLINK:
+            return len(tdd.downlink_symbols(absolute_slot))
+        return len(tdd.uplink_symbols(absolute_slot))
 
     def schedule_slot(self, absolute_slot: int) -> List[PrbAllocation]:
         """Allocate PRBs for one slot; appends ground truth to the MAC log."""

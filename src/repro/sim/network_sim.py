@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.faults.link import ImpairedLink
@@ -24,13 +24,12 @@ import numpy as np
 
 from repro.core.chain import MiddleboxChain
 from repro.core.middlebox import Middlebox
-from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import SymbolTime
 from repro.phy.channel import ChannelModel, db_to_linear
 from repro.phy.geometry import Position
 from repro.ran.du import DistributedUnit
-from repro.ran.ru import RadioUnit
+from repro.ran.ru import RadioUnit, UplinkSignalFn
 
 #: Normalized fronthaul amplitude corresponding to the RU's rated power.
 #: Air-domain gains are relative: what matters to decode correctness is
@@ -119,9 +118,6 @@ class SlotReport:
     degraded_merges: int = 0
     #: Symbols abandoned at the slot deadline (nothing mergeable arrived).
     abandoned_merges: int = 0
-
-
-UplinkSignalFn = Callable[[RadioUnit, Position, SymbolTime, int], Optional[np.ndarray]]
 
 
 class FronthaulNetwork:
@@ -265,13 +261,7 @@ class FronthaulNetwork:
 
         uplink: List[FronthaulPacket] = []
         for ru, position in self._rus.values():
-            n_sc = ru.config.num_prb * SAMPLES_PER_PRB
-            for time, port in ru.pending_uplink_symbols():
-                air = None
-                if uplink_signal_fn is not None:
-                    air = uplink_signal_fn(ru, position, time, port)
-                uplink.extend(ru.build_uplink(time, port, air_iq=air))
-            ru._ul_requests.clear()
+            uplink.extend(ru.build_uplink_slot(position, uplink_signal_fn))
         uplink = self._carry(uplink, report)
         for packet in self._through_chain(uplink, uplink=True):
             self._deliver_uplink(packet, report)

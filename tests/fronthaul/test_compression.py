@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.fronthaul.compression import (
+    BFP_COMP_METH,
     MAX_WIRE_EXPONENT,
+    MOD_COMP_METH,
     NO_COMP_METH,
     SAMPLES_PER_PRB,
     BfpCompressor,
@@ -20,6 +22,7 @@ from repro.fronthaul.compression import (
     _pack_mantissas,
     _unpack_mantissas,
     clear_codec_memo,
+    codec_for,
     codec_memo_stats,
     merge_payloads,
 )
@@ -366,6 +369,37 @@ def _reference_blocks(mantissas: np.ndarray, width: int) -> bytes:
     return b"".join(_pack_bits(row, width) for row in unsigned)
 
 
+#: (udCompMeth, width) for every legal BFP and modcomp mantissa width.
+CODEC_WIDTHS = [(BFP_COMP_METH, w) for w in range(2, 17)] + [
+    (MOD_COMP_METH, w) for w in range(1, 15)
+]
+
+codec_widths = st.sampled_from(CODEC_WIDTHS)
+sample_dtypes = st.sampled_from([np.int16, np.int32, np.int64])
+layouts = st.sampled_from(["contiguous", "strided", "fortran", "reversed"])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _drawn_samples(seed: int, n_prbs: int) -> np.ndarray:
+    """int16-range samples, (n_prbs, 24), each PRB at its own magnitude."""
+    rng = np.random.default_rng(seed)
+    bound = 1 << rng.integers(0, 16, size=(n_prbs, 1))
+    return rng.integers(-bound, bound, size=(n_prbs, 24))
+
+
+def _laid_out(values: np.ndarray, dtype, layout: str) -> np.ndarray:
+    """``values`` as ``dtype`` in the given memory layout."""
+    if layout == "strided":
+        wide = np.zeros((len(values), 48), dtype=dtype)
+        wide[:, 1::2] = values
+        return wide[:, 1::2]
+    if layout == "fortran":
+        return np.asfortranarray(values.astype(dtype))
+    if layout == "reversed":
+        return np.ascontiguousarray(values[::-1, ::-1], dtype=dtype)[::-1, ::-1]
+    return values.astype(dtype)
+
+
 def _extreme_mantissas(rng, width: int, n_prbs: int = 7) -> np.ndarray:
     low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
     mantissas = rng.integers(low, high + 1, size=(n_prbs, 24))
@@ -376,7 +410,8 @@ def _extreme_mantissas(rng, width: int, n_prbs: int = 7) -> np.ndarray:
 
 
 class TestMantissaPacking:
-    """Narrow-dtype pack / gather-unpack against the seed bit packer."""
+    """Scatter pack / gather unpack against the seed bit packer, and the
+    per-PRB independence slot-batched frame build relies on."""
 
     @pytest.mark.parametrize("width", ALL_WIDTHS)
     def test_round_trip_every_width(self, rng, width):
@@ -422,6 +457,78 @@ class TestMantissaPacking:
         parsed_exponents, parsed = compressor.parse_wire(grid.tobytes(), 5)
         assert (parsed == mantissas).all()
         assert (parsed_exponents == exponents).all()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.integers(1, 16),
+        dtype=sample_dtypes,
+        layout=layouts,
+        n_prbs=st.integers(0, 9),
+        seed=seeds,
+    )
+    def test_scatter_packer_matches_seed_packer(
+        self, width, dtype, layout, n_prbs, seed
+    ):
+        rng = np.random.default_rng(seed)
+        mantissas = _extreme_mantissas(rng, width, n_prbs=max(n_prbs, 3))
+        mantissas = _laid_out(mantissas[:n_prbs], dtype, layout)
+        blocks = _pack_mantissas(mantissas, width)
+        assert blocks.tobytes() == _reference_blocks(mantissas, width)
+        # The gather unpacker round-trips from a strided byte grid.
+        grid = np.zeros((n_prbs, 2 + 3 * width), dtype=np.uint8)
+        grid[:, 2:] = blocks
+        assert (_unpack_mantissas(grid[:, 2:], width) == mantissas).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        codec=codec_widths,
+        dtype=sample_dtypes,
+        layout=layouts,
+        sizes=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+        seed=seeds,
+    )
+    def test_stacked_compress_is_concatenation(
+        self, codec, dtype, layout, sizes, seed
+    ):
+        comp_meth, width = codec
+        compressor = codec_for(CompressionConfig(width, comp_meth))
+        grids = [
+            _drawn_samples(seed + i, n_prbs) for i, n_prbs in enumerate(sizes)
+        ]
+        stacked = np.vstack(grids)
+        wire = compressor.compress(_laid_out(stacked, dtype, layout))
+        assert wire == b"".join(
+            compressor.compress(_laid_out(g, dtype, layout)) for g in grids
+        )
+        clear_codec_memo()
+        parsed = compressor.parse_wire(wire, len(stacked))
+        assert (
+            compressor.decompress(wire, len(stacked))
+            == compressor.decompress_array(*parsed)
+        ).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        codec=codec_widths,
+        dtype=sample_dtypes,
+        layout=layouts,
+        bounds=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        seed=seeds,
+    )
+    def test_prb_range_slice_is_range_compress(
+        self, codec, dtype, layout, bounds, seed
+    ):
+        comp_meth, width = codec
+        config = CompressionConfig(width, comp_meth)
+        compressor = codec_for(config)
+        start, stop = sorted(bounds)
+        samples = _laid_out(_drawn_samples(seed, 8), dtype, layout)
+        per_prb = config.prb_payload_bytes()
+        wire = compressor.compress(samples)
+        assert wire[start * per_prb : stop * per_prb] == compressor.compress(
+            samples[start:stop]
+        )
 
 
 class TestBatchedHelpers:

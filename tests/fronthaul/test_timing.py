@@ -134,6 +134,28 @@ class TestTddPattern:
         assert all(pattern.is_uplink_symbol(4, s) for s in range(14))
         assert not any(pattern.is_downlink_symbol(4, s) for s in range(14))
 
+    @given(
+        pattern=st.text(alphabet="DSU", min_size=1, max_size=12),
+        split=st.integers(0, SYMBOLS_PER_SLOT).flatmap(
+            lambda dl: st.tuples(
+                st.just(dl), st.integers(0, SYMBOLS_PER_SLOT - dl)
+            )
+        ),
+        period=st.integers(0, 3),
+    )
+    def test_symbol_tables_match_predicates(self, pattern, split, period):
+        dl, guard = split
+        tdd = TddPattern(pattern, dl, guard, SYMBOLS_PER_SLOT - dl - guard)
+        for position in range(len(pattern)):
+            slot = period * len(pattern) + position
+            symbols = range(SYMBOLS_PER_SLOT)
+            assert tdd.downlink_symbols(slot) == tuple(
+                s for s in symbols if tdd.is_downlink_symbol(slot, s)
+            )
+            assert tdd.uplink_symbols(slot) == tuple(
+                s for s in symbols if tdd.is_uplink_symbol(slot, s)
+            )
+
 
 class TestSlotClock:
     def test_advance_produces_consecutive_stamps(self):

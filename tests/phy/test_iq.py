@@ -94,6 +94,32 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             iq_to_int16(rng.normal(size=13) + 0j)
 
+    @pytest.mark.parametrize(
+        "dtype", [np.complex128, np.complex64, np.float64, np.float32]
+    )
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "stacked"])
+    def test_matches_strided_store_reference(self, rng, dtype, layout):
+        """The float-view conversion equals scaling in the input's own
+        precision, storing I and Q strided, rounding and saturating."""
+        grid = rng.normal(0, 1.5, size=(3, 48)) + 1j * rng.normal(
+            0, 1.5, size=(3, 48)
+        )
+        grid[0, :5] = [0.5 / 8191.75, -0.5 / 8191.75, 1.5 / 8191.75, 9.0, -9.0]
+        if not np.issubdtype(dtype, np.complexfloating):
+            grid = grid.real
+        grid = grid.astype(dtype)
+        if layout == "strided":
+            grid = np.repeat(grid, 2, axis=-1)[..., ::2]
+        elif layout == "contiguous":
+            grid = grid[1]
+        scaled = grid * (32767.0 * 0.25)
+        reference = np.empty(grid.shape[:-1] + (4, 24))
+        blocks = scaled.reshape(grid.shape[:-1] + (4, 12))
+        reference[..., 0::2] = blocks.real
+        reference[..., 1::2] = blocks.imag
+        reference = np.clip(np.round(reference), -32768, 32767).astype(np.int16)
+        assert np.array_equal(iq_to_int16(grid), reference)
+
     @settings(max_examples=30, deadline=None)
     @given(backoff=st.floats(min_value=0.05, max_value=0.9))
     def test_backoff_roundtrip_property(self, backoff, ):
